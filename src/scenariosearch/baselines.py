@@ -77,9 +77,11 @@ def run_ga(
 
     Roulette parent selection uses the inverted fitness (f_max - f + eps).
     Uniform per-gene crossover yields two complementary children; mutation
-    resamples one gene uniformly. Children already tested are replaced by
-    the nearest untested scenario, so every evaluation is new. Survivors
-    are the population-size lowest-f individuals of parents plus children.
+    resamples one gene uniformly. Children already tested are redirected to
+    the nearest untested scenario, ties by smaller flat index (the first
+    entry of the archive's max-ring box query), so every evaluation is new.
+    Survivors are the population-size lowest-f individuals of parents plus
+    children.
     """
     rng = make_generator(config.seed)
     drv = BudgetedEvaluator(space, evaluator, min(config.budget, space.cardinality))

@@ -25,17 +25,13 @@ class SpaceExhausted(Exception):
 
 
 class Archive:
-    """Set of tested scenario indices with fast neighborhood-box queries."""
+    """Set of tested scenario indices with nearest-untested queries."""
 
     def __init__(self, space: ScenarioSpace):
         self.space = space
         self.tested = np.zeros(space.cardinality, dtype=bool)
         self._grid = self.tested.reshape(space.shape)
-        self._axis_values = [
-            np.array([spec.value(k) for k in range(spec.levels)])
-            for spec in space.specs
-        ]
-        self._gammas = np.array([max(g, 1.0) if g == 0 else g for g in space.gammas])
+        self._flat = np.arange(space.cardinality).reshape(space.shape)
         self.order: list[int] = []
 
     def __len__(self) -> int:
@@ -53,46 +49,37 @@ class Archive:
         self.tested[idx] = True
         self.order.append(idx)
 
+    def _dist2(self, point: ContinuousPoint, block: tuple[slice, ...]) -> np.ndarray:
+        """Squared step-normalized distances from point to every cell of the
+        grid block, +inf where the cell is tested, raveled in flat-index order."""
+        axes = zip(self.space.axis_values, self.space.scales, point, block)
+        dist2 = 0.0
+        for axis, (values, scale, p, s) in enumerate(axes):
+            # shape (n, 1, ..., 1) broadcasts the axis against the later ones
+            term = ((values[s] - p) / scale) ** 2
+            dist2 = dist2 + term.reshape((-1,) + (1,) * (len(block) - 1 - axis))
+        return np.where(self._grid[block], INF, dist2).ravel()
+
     def untested_in_box(self, point: ContinuousPoint, j: int) -> np.ndarray:
         """Flat indices of untested scenarios in the jth box around point,
         sorted by step-normalized distance then by flat index."""
         windows = self.space.box_windows(point, j)
         if any(lo > hi for lo, hi in windows):
             return np.empty(0, dtype=np.int64)
-        slices = tuple(slice(lo, hi + 1) for lo, hi in windows)
-        sub = self._grid[slices]
-        pos = np.argwhere(~sub)
-        if pos.size == 0:
-            return np.empty(0, dtype=np.int64)
-        offsets = np.array([lo for lo, _ in windows])
-        levels = pos + offsets
-        flat = np.ravel_multi_index(levels.T, self.space.shape)
-        dist2 = np.zeros(len(flat))
-        for i in range(4):
-            coords = self._axis_values[i][levels[:, i]]
-            dist2 += ((coords - point[i]) / self._gammas[i]) ** 2
-        return flat[np.lexsort((flat, dist2))].astype(np.int64)
+        block = tuple(slice(lo, hi + 1) for lo, hi in windows)
+        dist2 = self._dist2(point, block)
+        (untested,) = np.nonzero(dist2 < INF)
+        # a stable sort keeps flat-index order among equal distances
+        order = untested[np.argsort(dist2[untested], kind="stable")]
+        return self._flat[block].ravel()[order]
 
     def nearest_untested(self, point: ContinuousPoint) -> int:
-        """Globally nearest untested scenario (ties by smaller flat index)."""
-        best_flat = -1
-        best_d = INF
-        max_j = self.space.max_ring
-        j = 1
-        while j <= max_j:
-            flats = self.untested_in_box(point, j)
-            if len(flats):
-                cand = int(flats[0])
-                d = self.space.distance(point, self.space.index_to_scenario(cand).coords)
-                if d < best_d or (d == best_d and cand < best_flat):
-                    best_flat, best_d = cand, d
-                # anything outside box j is farther than j in normalized units
-                if j >= best_d:
-                    return best_flat
-            j += 1
-        if best_flat >= 0:
-            return best_flat
-        raise SpaceExhausted
+        """Globally nearest untested scenario, ties by smaller flat index:
+        for a point inside the grid, untested_in_box(point, max_ring)[0]."""
+        if self.full:
+            raise SpaceExhausted
+        whole = (slice(None),) * len(self.space.shape)
+        return int(np.argmin(self._dist2(point, whole)))
 
 
 @dataclass(frozen=True)

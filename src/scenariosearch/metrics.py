@@ -33,13 +33,14 @@ def coverage_vs_oracle(
 ) -> float | None:
     """Fraction of the ground-truth class population the algorithm tested.
 
-    Counts the algorithm's own classifications against the oracle class size;
-    None when the oracle found no scenario of that class.
+    Counts the tested scenarios that the oracle puts in class `cls`, whatever
+    class the algorithm's own (differently seeded) evaluation gave them; None
+    when the oracle found no scenario of that class.
     """
-    denom = len(oracle_sets.get(cls, set()))
-    if denom == 0:
+    population = oracle_sets.get(cls, set())
+    if not population:
         return None
-    return len(sets.get(cls, set())) / denom
+    return len(population & set().union(*sets.values())) / len(population)
 
 
 def safety_critical_union(sets: ClassifiedSets) -> set[int]:

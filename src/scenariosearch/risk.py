@@ -111,13 +111,3 @@ def classify(value: float) -> ScenarioClass:
         return ScenarioClass.RISK
     return ScenarioClass.RISK_FREE
 
-
-def speed_from_frames(delta_l: float, n: int, fps: float) -> float:
-    """Vehicle speed from video frame differencing: distance over n frames at fps."""
-    if n < 1:
-        raise ValueError("frame count must be >= 1")
-    if fps <= 0.0:
-        raise ValueError("fps must be positive")
-    if delta_l < 0.0:
-        raise ValueError("distance must be nonnegative")
-    return delta_l * fps / n

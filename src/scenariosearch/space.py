@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +46,8 @@ class ParamSpec:
 
     @property
     def gamma(self) -> float:
-        """Step magnitude used for normalization (0 for degenerate axes)."""
-        return abs(self.step) if self.levels > 1 else abs(self.step)
+        """Step magnitude used for normalization (0 on a zero-step axis)."""
+        return abs(self.step)
 
     @property
     def lo(self) -> float:
@@ -128,7 +129,17 @@ class ScenarioSpace:
     def gammas(self) -> tuple[float, ...]:
         return tuple(s.gamma for s in self.specs)
 
-    @property
+    @cached_property
+    def axis_values(self) -> tuple[np.ndarray, ...]:
+        """Per-axis table of grid values, indexed by level."""
+        return tuple(s.start + np.arange(s.levels) * s.step for s in self.specs)
+
+    @cached_property
+    def scales(self) -> np.ndarray:
+        """Per-axis divisor of step-normalized distances (1 on a zero-step axis)."""
+        return np.array([g or 1.0 for g in self.gammas])
+
+    @cached_property
     def max_ring(self) -> int:
         """Largest neighborhood radius L = max_i(range_i / step_i)."""
         ratios = [s.span / s.gamma for s in self.specs if s.gamma > 0]
@@ -137,10 +148,19 @@ class ScenarioSpace:
     def index_to_levels(self, idx: int) -> tuple[int, ...]:
         if not 0 <= idx < self.cardinality:
             raise IndexError(f"scenario index {idx} out of range")
-        return tuple(int(k) for k in np.unravel_index(idx, self.shape))
+        idx, levels = int(idx), []
+        for n in reversed(self.shape):
+            idx, k = divmod(idx, n)
+            levels.append(k)
+        return tuple(reversed(levels))
 
     def levels_to_index(self, levels: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(levels, self.shape))
+        idx = 0
+        for k, n in zip(levels, self.shape, strict=True):
+            if not 0 <= k < n:
+                raise ValueError(f"levels {levels} out of range for shape {self.shape}")
+            idx = idx * n + int(k)
+        return idx
 
     def scenario_from_levels(self, levels: tuple[int, ...]) -> Scenario:
         vals = [spec.value(k) for spec, k in zip(self.specs, levels)]
@@ -174,11 +194,8 @@ class ScenarioSpace:
 
     def box_windows(self, point: ContinuousPoint, j: int) -> list[tuple[int, int]]:
         """Per-axis inclusive level windows for the jth neighborhood box."""
-        return [
-            spec.level_window(p, j * spec.gamma) if spec.gamma > 0
-            else spec.level_window(p, 0.0)
-            for spec, p in zip(self.specs, point)
-        ]
+        return [spec.level_window(p, j * spec.gamma)
+                for spec, p in zip(self.specs, point)]
 
     def neighborhood(self, point, j: int) -> list[Scenario]:
         """All grid scenarios within [point_i - j*step_i, point_i + j*step_i] per axis."""

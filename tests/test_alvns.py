@@ -7,13 +7,20 @@ from scenariosearch.alvns import SearchConfig, run_alvns_sa, vns_repair
 from scenariosearch.engine import Archive, BudgetedEvaluator, SpaceExhausted
 from scenariosearch.rng import make_generator
 from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
-from scenariosearch.space import ParamSpec, build_space
+from scenariosearch.space import ParamSpec, build_space, default_space
 
 TOY = build_space([
     ParamSpec("v_e", 9.0, 3.0, 3),
     ParamSpec("v_o", 5.5, 4.0, 3),
     ParamSpec("d", 13.5, 10.0, 2),
     ParamSpec("a", -0.05, -1.6, 2),
+])
+# one-level, step-0 deceleration axis
+FLAT_A = build_space([
+    ParamSpec("v_e", 9.0, 3.0, 3),
+    ParamSpec("v_o", 5.5, 4.0, 4),
+    ParamSpec("d", 13.5, 10.0, 3),
+    ParamSpec("a", -0.05, 0.0, 1),
 ])
 QUIET = SimConfig(sigma=0.0)
 
@@ -22,6 +29,25 @@ def toy_evaluator(run_seed=0, sim=QUIET):
     return functools.partial(evaluate, sim_config=sim,
                              ego_config=EgoControllerConfig(),
                              run_seed=run_seed)
+
+
+def sample_point(space, rng, margin=0.0):
+    """Uniform point over the grid's hull widened by margin steps per axis;
+    on the single value of a degenerate axis."""
+    return tuple(
+        float(rng.uniform(s.lo - margin * s.gamma, s.hi + margin * s.gamma))
+        if s.gamma else s.start
+        for s in space.specs
+    )
+
+
+def dist2(space, point, k):
+    """Squared step-normalized distance, summed in axis order."""
+    acc = 0.0
+    for spec, v, p in zip(space.specs, space.index_to_scenario(k).coords, point):
+        d = (v - p) / (spec.gamma or 1.0)
+        acc += d * d
+    return acc
 
 
 def run(budget, seed=1, space=TOY, **kw):
@@ -209,20 +235,59 @@ class TestArchive:
 
     def test_untested_box_ordering_matches_brute_force(self):
         rng = make_generator(13)
+        for space in (TOY, FLAT_A):
+            archive = Archive(space)
+            for k in rng.permutation(space.cardinality)[: space.cardinality // 3]:
+                archive.add(int(k))
+            points = [space.index_to_scenario(int(k)).coords
+                      for k in rng.integers(space.cardinality, size=3)]
+            points += [sample_point(space, rng) for _ in range(3)]
+            points += [sample_point(space, rng, margin=2.0) for _ in range(3)]
+            # off the single value of FLAT_A's deceleration axis: empty boxes
+            points.append((10.1, 8.0, 17.0, -1.0))
+            for point in points:
+                for j in range(1, space.max_ring + 2):
+                    got = archive.untested_in_box(point, j).tolist()
+                    box = [s.index for s in space.neighborhood(point, j)
+                           if s.index not in archive]
+                    assert sorted(got) == sorted(box)
+                    assert got == sorted(
+                        box, key=lambda k: (dist2(space, point, k), k))
+
+    def test_nearest_untested_is_first_of_max_ring_box(self):
+        rng = make_generator(15)
+        for space in (TOY, FLAT_A, default_space()):
+            for fill in (0.3, 0.9, 0.999):
+                archive = Archive(space)
+                n = min(int(fill * space.cardinality), space.cardinality - 1)
+                for k in rng.permutation(space.cardinality)[:n]:
+                    archive.add(int(k))
+                points = [space.index_to_scenario(int(k)).coords
+                          for k in rng.integers(space.cardinality, size=5)]
+                points += [sample_point(space, rng) for _ in range(5)]
+                for point in points:
+                    assert (archive.nearest_untested(point)
+                            == archive.untested_in_box(point, space.max_ring)[0])
+
+    def test_nearest_untested_tie_by_flat_index(self):
+        # both cells lie at distance sqrt(22) from the point; the squared
+        # distances sum to 22.000000000000004 (53481) and 22.0 (57433)
+        space = default_space()
+        archive = Archive(space)
+        for k in range(space.cardinality):
+            if k not in (53481, 57433):
+                archive.add(k)
+        point = space.scenario_from_levels((14, 0, 0, 6)).coords
+        first = int(archive.untested_in_box(point, space.max_ring)[0])
+        assert first == 57433
+        assert archive.nearest_untested(point) == first
+
+    def test_nearest_untested_full_archive(self):
         archive = Archive(TOY)
-        for k in rng.permutation(TOY.cardinality)[:10]:
-            archive.add(int(k))
-        point = (10.1, 8.0, 17.0, -1.0)
-        got = archive.untested_in_box(point, TOY.max_ring)
-        expected = sorted(
-            (k for k in range(TOY.cardinality) if k not in archive),
-            key=lambda k: (TOY.distance(point,
-                                        TOY.index_to_scenario(k).coords), k),
-        )
-        assert [TOY.distance(point, TOY.index_to_scenario(int(f)).coords)
-                for f in got] == pytest.approx(
-            [TOY.distance(point, TOY.index_to_scenario(k).coords)
-             for k in expected])
+        for k in range(TOY.cardinality):
+            archive.add(k)
+        with pytest.raises(SpaceExhausted):
+            archive.nearest_untested(TOY.index_to_scenario(0).coords)
 
     def test_nearest_untested_matches_brute_force(self):
         rng = make_generator(14)

@@ -69,6 +69,16 @@ class TestCoverageVsOracle:
         found = sets_of(crash={1, 2})
         assert coverage_vs_oracle(found, oracle, C.CRASH) == 0.5
 
+    def test_counts_oracle_class_of_tested(self):
+        # at sigma > 0 a campaign's noise differs from the oracle's, so it can
+        # class an oracle near-crash as a crash
+        oracle = sets_of(crash={1, 2}, near={3})
+        found = sets_of(crash={1, 3})
+        assert coverage_vs_oracle(found, oracle, C.CRASH) == 0.5
+        assert coverage_vs_oracle(found, oracle, C.NEAR_CRASH) == 1.0
+        found = sets_of(crash={1, 2, 3})
+        assert coverage_vs_oracle(found, oracle, C.CRASH) <= 1.0
+
     def test_none_when_oracle_empty(self):
         assert coverage_vs_oracle(sets_of(crash={1}), sets_of(), C.CRASH) is None
 

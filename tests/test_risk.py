@@ -12,7 +12,6 @@ from scenariosearch.risk import (
     gttc,
     gttc_min,
     relative_distance,
-    speed_from_frames,
 )
 from scenariosearch.sim import TrajectoryRecord
 
@@ -130,22 +129,3 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(-0.1)
 
-
-class TestSpeedFromFrames:
-    def test_direct_substitution(self):
-        assert speed_from_frames(10.0, 25, 25.0) == pytest.approx(10.0)
-
-    def test_zero_distance(self):
-        assert speed_from_frames(0.0, 10, 30.0) == 0.0
-
-    def test_fps_linearity(self):
-        assert speed_from_frames(7.0, 14, 50.0) == pytest.approx(
-            2 * speed_from_frames(7.0, 14, 25.0))
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            speed_from_frames(1.0, 0, 25.0)
-        with pytest.raises(ValueError):
-            speed_from_frames(1.0, 10, 0.0)
-        with pytest.raises(ValueError):
-            speed_from_frames(-1.0, 10, 25.0)

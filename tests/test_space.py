@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,21 @@ class TestIndexing:
             sp.index_to_scenario(sp.cardinality)
         with pytest.raises(IndexError):
             sp.index_to_scenario(-1)
+
+    def test_levels_out_of_range(self):
+        sp = default_space()
+        for levels in [(16, 0, 0, 0), (0, -1, 0, 0), (0, 0, 20, 0),
+                       (0, 0, 0, 9), (0, 0, 0)]:
+            with pytest.raises(ValueError):
+                sp.levels_to_index(levels)
+
+    def test_levels_in_c_order(self):
+        sp = default_space()
+        for k in range(0, sp.cardinality, 97):
+            levels = sp.index_to_levels(k)
+            assert levels == tuple(int(v) for v in np.unravel_index(k, sp.shape))
+            assert all(type(v) is int for v in levels)
+            assert sp.levels_to_index(levels) == k
 
 
 class TestNeighborhood:
