@@ -75,14 +75,15 @@ def run_alvns_sa(
 
     current = space.index_to_scenario(int(rng.integers(space.cardinality)))
     cur_res = drv.evaluate(current)
+    if cur_res is None:
+        return drv.result(algorithm_name, config.seed, bank)
     t_current = config.t_begin
     drv.log(current, cur_res, accepted=True, t_current=t_current)
-    omega_star = [current.index]
     f_current = capped(cur_res.gttc_min)
     rejections = 0
-    invalid = False
 
-    while drv.remaining > 0 and not drv.archive.full:
+    # the budget never exceeds the grid, so repairs always find an untested scenario
+    while drv.remaining > 0:
         destroy_id = ops.select_operator(bank, "destroy", rng)
         xi = ops.sample_xi(
             space,
@@ -96,17 +97,9 @@ def run_alvns_sa(
             rng,
         )
         point = ops.destroy(current, destroy_id, xi, space)
-        try:
-            candidate, repair_id = repair(point, space, drv.archive, bank, rng)
-        except SpaceExhausted:
-            break
-        assert candidate.index not in drv.archive, "repair returned a tested scenario"
-
-        try:
-            res = drv.evaluate(candidate)
-        except Exception:
-            # evaluator failure: return the partial run flagged invalid
-            invalid = True
+        candidate, repair_id = repair(point, space, drv.archive, bank, rng)
+        res = drv.evaluate(candidate)
+        if res is None:
             break
         f_new = capped(res.gttc_min)
         if f_new < f_current:
@@ -118,7 +111,6 @@ def run_alvns_sa(
 
         if accepted:
             current, cur_res, f_current = candidate, res, f_new
-            omega_star.append(candidate.index)
             rejections = 0
         else:
             rejections += 1
@@ -128,12 +120,4 @@ def run_alvns_sa(
         if t_current <= config.t_end:
             t_current = config.t_begin
 
-    return RunResult(
-        algorithm=algorithm_name,
-        seed=config.seed,
-        rows=drv.rows,
-        archive_order=list(drv.archive.order),
-        omega_star=omega_star,
-        bank=bank,
-        invalid=invalid,
-    )
+    return drv.result(algorithm_name, config.seed, bank)

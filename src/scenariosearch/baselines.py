@@ -32,23 +32,13 @@ def run_random(
     rng = make_generator(seed)
     drv = BudgetedEvaluator(space, evaluator, min(budget, space.cardinality))
     order = rng.permutation(space.cardinality)[: drv.budget]
-    invalid = False
     for idx in order:
         scenario = space.index_to_scenario(int(idx))
-        try:
-            res = drv.evaluate(scenario)
-        except Exception:
-            invalid = True
+        res = drv.evaluate(scenario)
+        if res is None:
             break
         drv.log(scenario, res, accepted=True)
-    return RunResult(
-        algorithm="random",
-        seed=seed,
-        rows=drv.rows,
-        archive_order=list(drv.archive.order),
-        omega_star=list(drv.archive.order),
-        invalid=invalid,
-    )
+    return drv.result("random", seed)
 
 
 @dataclass(frozen=True)
@@ -86,15 +76,11 @@ def run_ga(
     rng = make_generator(config.seed)
     drv = BudgetedEvaluator(space, evaluator, min(config.budget, space.cardinality))
     fitness: dict[int, float] = {}
-    invalid = False
 
     def eval_index(idx: int) -> bool:
-        nonlocal invalid
         scenario = space.index_to_scenario(idx)
-        try:
-            res = drv.evaluate(scenario)
-        except Exception:
-            invalid = True
+        res = drv.evaluate(scenario)
+        if res is None:
             return False
         drv.log(scenario, res, accepted=True)
         fitness[idx] = capped(res.gttc_min)
@@ -109,9 +95,7 @@ def run_ga(
         population.append(int(idx))
 
     generation = 0
-    collapsed = False
-    while (drv.remaining > 0 and generation < config.generations
-           and not invalid and not collapsed):
+    while drv.remaining > 0 and generation < config.generations and drv.failure is None:
         fvals = np.array([fitness[i] for i in population])
         weights = fvals.max() - fvals + FITNESS_EPS
 
@@ -135,12 +119,8 @@ def run_ga(
                 break
             idx = space.levels_to_index(tuple(int(g) for g in genes))
             if idx in drv.archive:
-                point = space.index_to_scenario(idx).coords
-                try:
-                    idx = drv.archive.nearest_untested(point)
-                except SpaceExhausted:
-                    collapsed = True
-                    break
+                # untested scenarios remain: the budget never exceeds the grid
+                idx = drv.archive.nearest_untested(space.index_to_scenario(idx).coords)
             if not eval_index(idx):
                 break
             newcomers.append(idx)
@@ -150,15 +130,7 @@ def run_ga(
         population = pool[: config.population]
         generation += 1
 
-    return RunResult(
-        algorithm="ga",
-        seed=config.seed,
-        rows=drv.rows,
-        archive_order=list(drv.archive.order),
-        omega_star=list(drv.archive.order),
-        invalid=invalid,
-        extras={"generations": generation},
-    )
+    return drv.result("ga", config.seed, generations=generation)
 
 
 def alns_repair(

@@ -76,15 +76,16 @@ def main(argv: list[str] | None = None) -> int:
             path = write_log(result, args.out)
             print(f"wrote {path} ({result.n_evaluations} evaluations)")
             if result.invalid:
-                print("run flagged invalid", file=sys.stderr)
+                print(f"run flagged invalid: {result.failure}", file=sys.stderr)
                 return EXIT_RUNTIME
         elif args.command == "compare":
             config = load_config(args.config)
             report = run_experiment(config, args.out)
             print(f"wrote bundle to {args.out} ({len(report.runs)} runs)")
+            for run in report.failures:
+                print(f"{run.algorithm} seed {run.seed}: run flagged invalid: "
+                      f"{run.failure}", file=sys.stderr)
             if report.failures:
-                for algorithm, seed in report.failures:
-                    print(f"FAILED: {algorithm} seed {seed}", file=sys.stderr)
                 return EXIT_RUNTIME
         elif args.command == "report":
             print(render_report(args.in_dir))

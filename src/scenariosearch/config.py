@@ -4,7 +4,7 @@ section per subsystem. See configs/default.cfg for the documented schema."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .alvns import SearchConfig
 from .baselines import GAConfig
@@ -12,6 +12,14 @@ from .sim import EgoControllerConfig, SimConfig
 from .space import PARAM_NAMES, ConfigurationError, ParamSpec, ScenarioSpace, build_space
 
 ALGORITHMS = ("alvns-sa", "alns-sa", "ga", "random")
+RUN_KEYS = ("algorithms", "seeds", "budget", "oracle_seed", "workers")
+# Sections read through a dataclass; budget and seed come from [run].
+DATACLASS_SECTIONS = {
+    "sim": SimConfig,
+    "ego": EgoControllerConfig,
+    "alvns_sa": SearchConfig,
+    "ga": GAConfig,
+}
 
 
 @dataclass(frozen=True)
@@ -58,26 +66,36 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigurationError(f"invalid config {path}: {exc}") from exc
 
 
+def _check_keys(parser: configparser.ConfigParser, section: str, known) -> None:
+    unknown = [key for key in parser[section] if key not in known]
+    if unknown:
+        raise ConfigurationError(f"[{section}] unknown key(s): {', '.join(unknown)}")
+
+
+def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
+    """Every field of the section's dataclass: each given key converted with
+    the type of the field's default, the default for each omitted one."""
+    values = {f.name: f.default for f in fields(DATACLASS_SECTIONS[section])
+              if f.name not in ("budget", "seed")}
+    if parser.has_section(section):
+        _check_keys(parser, section, values)
+        for key, text in parser[section].items():
+            values[key] = type(values[key])(text)
+    return values
+
+
 def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
+    unknown = [s for s in parser.sections()
+               if s not in ("space", "run", *DATACLASS_SECTIONS)]
+    if unknown:
+        raise ConfigurationError(f"unknown section(s): {', '.join(unknown)}")
+
+    _check_keys(parser, "space", PARAM_NAMES)
     space_sec = parser["space"]
     specs = [_parse_axis(name, space_sec[name]) for name in PARAM_NAMES]
     space = build_space(specs)
 
-    sim_sec = parser["sim"] if parser.has_section("sim") else {}
-    sim = SimConfig(
-        dt=float(sim_sec.get("dt", 0.1)),
-        t_max=float(sim_sec.get("t_max", 30.0)),
-        sigma=float(sim_sec.get("sigma", 0.1)),
-        open_gap_exit=int(sim_sec.get("open_gap_exit", 20)),
-    )
-    ego_sec = parser["ego"] if parser.has_section("ego") else {}
-    ego = EgoControllerConfig(
-        reaction_time=float(ego_sec.get("reaction_time", 0.5)),
-        max_brake=float(ego_sec.get("max_brake", 6.0)),
-        ttc_trigger=float(ego_sec.get("ttc_trigger", 2.5)),
-        min_gap_trigger=float(ego_sec.get("min_gap_trigger", 5.0)),
-    )
-
+    _check_keys(parser, "run", RUN_KEYS)
     run_sec = parser["run"]
     algorithms = tuple(
         a.strip() for a in run_sec.get("algorithms", ",".join(ALGORITHMS)).split(",")
@@ -96,32 +114,16 @@ def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigurationError(
             f"budget {budget} must be in [1, {space.cardinality}]")
 
-    sa_sec = parser["alvns_sa"] if parser.has_section("alvns_sa") else {}
-    sa_params = dict(
-        t_begin=float(sa_sec.get("t_begin", 1.0)),
-        t_end=float(sa_sec.get("t_end", 0.01)),
-        alpha=float(sa_sec.get("alpha", 0.95)),
-        rho=float(sa_sec.get("rho", 0.3)),
-        rejection_threshold=int(sa_sec.get("rejection_threshold", 5)),
-    )
-    ga_sec = parser["ga"] if parser.has_section("ga") else {}
-    ga_params = dict(
-        population=int(ga_sec.get("population", 100)),
-        crossover=float(ga_sec.get("crossover", 0.75)),
-        mutation=float(ga_sec.get("mutation", 0.05)),
-        generations=int(ga_sec.get("generations", 1500)),
-    )
-
     workers_raw = int(run_sec.get("workers", 0))
     return ExperimentConfig(
         space=space,
-        sim=sim,
-        ego=ego,
+        sim=SimConfig(**_read_section(parser, "sim")),
+        ego=EgoControllerConfig(**_read_section(parser, "ego")),
         algorithms=algorithms,
         seeds=seeds,
         budget=budget,
         oracle_seed=int(run_sec.get("oracle_seed", 0)),
         workers=workers_raw if workers_raw > 0 else None,
-        sa_params=sa_params,
-        ga_params=ga_params,
+        sa_params=_read_section(parser, "alvns_sa"),
+        ga_params=_read_section(parser, "ga"),
     )

@@ -24,6 +24,11 @@ class SpaceExhausted(Exception):
     """Every grid scenario has been tested."""
 
 
+class InvariantError(RuntimeError):
+    """A search loop broke the no-retest or budget contract: a driver bug,
+    never an evaluator failure."""
+
+
 class Archive:
     """Set of tested scenario indices with nearest-untested queries."""
 
@@ -32,22 +37,20 @@ class Archive:
         self.tested = np.zeros(space.cardinality, dtype=bool)
         self._grid = self.tested.reshape(space.shape)
         self._flat = np.arange(space.cardinality).reshape(space.shape)
-        self.order: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self.order)
+        self.count = 0
 
     def __contains__(self, idx: int) -> bool:
         return bool(self.tested[idx])
 
     @property
     def full(self) -> bool:
-        return len(self.order) == self.space.cardinality
+        return self.count == self.space.cardinality
 
     def add(self, idx: int) -> None:
-        assert not self.tested[idx], f"scenario {idx} was already tested"
+        if self.tested[idx]:
+            raise InvariantError(f"scenario {idx} was already tested")
         self.tested[idx] = True
-        self.order.append(idx)
+        self.count += 1
 
     def _dist2(self, point: ContinuousPoint, block: tuple[slice, ...]) -> np.ndarray:
         """Squared step-normalized distances from point to every cell of the
@@ -96,8 +99,21 @@ class LogRow:
     t_current: float | None = None
 
 
+@dataclass(frozen=True)
+class EvaluationFailure:
+    """The exception an evaluator raised, and the scenario it raised on."""
+
+    scenario_index: int
+    error_type: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"scenario {self.scenario_index}: {self.error_type}: {self.message}"
+
+
 class BudgetedEvaluator:
-    """Wraps the scenario evaluator with archive bookkeeping and a budget."""
+    """Wraps the scenario evaluator with the no-retest archive, the budget,
+    the evaluation log and the capture of evaluator failures."""
 
     def __init__(
         self,
@@ -111,23 +127,29 @@ class BudgetedEvaluator:
         self.archive = Archive(space)
         self._evaluator = evaluator
         self.budget = budget
-        self.results: dict[int, EvaluationResult] = {}
         self.rows: list[LogRow] = []
+        self.failure: EvaluationFailure | None = None
 
     @property
     def count(self) -> int:
-        return len(self.archive)
+        return self.archive.count
 
     @property
     def remaining(self) -> int:
         return self.budget - self.count
 
-    def evaluate(self, scenario: Scenario) -> EvaluationResult:
-        assert self.remaining > 0, "evaluation budget exhausted"
-        res = self._evaluator(scenario)
+    def evaluate(self, scenario: Scenario) -> EvaluationResult | None:
+        """The evaluator's result, or None after recording its exception in
+        `failure`; the caller then ends the run. A budget overrun or a retest
+        raises InvariantError."""
+        if self.remaining <= 0:
+            raise InvariantError("evaluation budget exhausted")
         self.archive.add(scenario.index)
-        self.results[scenario.index] = res
-        return res
+        try:
+            return self._evaluator(scenario)
+        except Exception as exc:  # the evaluator is a black box
+            self.failure = EvaluationFailure(scenario.index, type(exc).__name__, str(exc))
+            return None
 
     def log(self, scenario: Scenario, res: EvaluationResult, accepted: bool,
             destroy_op: int | None = None, repair_op: int | None = None,
@@ -143,23 +165,38 @@ class BudgetedEvaluator:
             t_current=t_current,
         ))
 
+    def result(self, algorithm: str, seed: int, bank=None, **extras) -> RunResult:
+        return RunResult(algorithm, seed, self.rows, bank, self.failure, extras)
+
 
 @dataclass
 class RunResult:
-    """Outcome of one search campaign."""
+    """Outcome of one search campaign: the evaluation log, in order, and the
+    evaluator failure that ended it early, if any."""
 
     algorithm: str
     seed: int
     rows: list[LogRow]
-    archive_order: list[int]
-    omega_star: list[int]
     bank: object | None = None
-    invalid: bool = False
+    failure: EvaluationFailure | None = None
     extras: dict = field(default_factory=dict)
 
     @property
+    def archive_order(self) -> list[int]:
+        return [r.scenario.index for r in self.rows]
+
+    @property
+    def omega_star(self) -> list[int]:
+        """The accepted scenarios, in order."""
+        return [r.scenario.index for r in self.rows if r.accepted]
+
+    @property
     def n_evaluations(self) -> int:
-        return len(self.archive_order)
+        return len(self.rows)
+
+    @property
+    def invalid(self) -> bool:
+        return self.failure is not None
 
     @property
     def best_gttc_min(self) -> float:

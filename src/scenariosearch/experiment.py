@@ -109,7 +109,10 @@ def write_oracle(space, oracle: list[EvaluationResult], out_dir: str) -> str:
 class ExperimentReport:
     runs: dict[tuple[str, int], RunResult] = field(default_factory=dict)
     oracle_sets: metrics.ClassifiedSets | None = None
-    failures: list[tuple[str, int]] = field(default_factory=list)
+
+    @property
+    def failures(self) -> list[RunResult]:
+        return [r for r in self.runs.values() if r.invalid]
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
@@ -129,8 +132,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
             result = run_search(config, algorithm, seed)
             report.runs[(algorithm, seed)] = result
             write_log(result, out_dir)
-            if result.invalid:
-                report.failures.append((algorithm, seed))
 
     summary = [SUMMARY_HEADER]
     for seed in config.seeds:
@@ -196,7 +197,8 @@ def render_report(in_dir: str) -> str:
     path = os.path.join(in_dir, "summary.csv")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no summary.csv in {in_dir}")
-    rows = list(csv.DictReader(open(path, newline="")))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError("summary.csv is empty")
 

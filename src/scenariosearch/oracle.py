@@ -18,12 +18,9 @@ _CHUNK = 2048
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Explicit argument wins, then SF_WORKERS, then the CPU count."""
+    """A positive argument wins, else the CPU count."""
     if workers is not None and workers > 0:
         return workers
-    env = os.environ.get("SF_WORKERS")
-    if env:
-        return max(1, int(env))
     return max(1, os.cpu_count() or 1)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from scenariosearch import operators as ops
 from scenariosearch.alvns import SearchConfig, run_alvns_sa, vns_repair
-from scenariosearch.engine import Archive, BudgetedEvaluator, SpaceExhausted
+from scenariosearch.engine import Archive, BudgetedEvaluator, InvariantError, SpaceExhausted
 from scenariosearch.rng import make_generator
 from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
 from scenariosearch.space import ParamSpec, build_space, default_space
@@ -230,7 +230,7 @@ class TestArchive:
         drv = BudgetedEvaluator(TOY, toy_evaluator(), budget=5)
         s = TOY.index_to_scenario(3)
         drv.evaluate(s)
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError):
             drv.evaluate(s)
 
     def test_untested_box_ordering_matches_brute_force(self):

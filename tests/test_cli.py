@@ -1,12 +1,18 @@
 import csv
+import gc
 import os
+import warnings
 
 import pytest
 
-from scenariosearch.cli import EXIT_CONFIG, EXIT_OK, main
+from scenariosearch import experiment
+from scenariosearch.alvns import SearchConfig
+from scenariosearch.baselines import GAConfig
+from scenariosearch.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from scenariosearch.config import load_config
-from scenariosearch.experiment import load_log_sets
+from scenariosearch.experiment import load_log_sets, render_report
 from scenariosearch.risk import ScenarioClass
+from scenariosearch.sim import EgoControllerConfig, SimConfig
 from scenariosearch.space import ConfigurationError
 
 TOY_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg")
@@ -49,6 +55,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError):
             load_config(str(p))
 
+    def test_omitted_sections_keep_defaults(self, tmp_path):
+        p = tmp_path / "minimal.cfg"
+        p.write_text("[space]\nv_e = 9.0:0.5:16\nv_o = 5.5:0.5:21\n"
+                     "d = 13.5:1.0:20\na = -0.05:-0.2:9\n[run]\nbudget = 10\n"
+                     "[sim]\nt_max = 20\n")
+        cfg = load_config(str(p))
+        assert cfg.sim == SimConfig(t_max=20.0)
+        assert cfg.ego == EgoControllerConfig()
+        assert cfg.search_config(3) == SearchConfig(budget=10, seed=3)
+        assert cfg.ga_config(3) == GAConfig(budget=10, seed=3)
+
     def test_budget_over_cardinality(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("[space]\nv_e = 9.0:0.5:2\nv_o = 5.5:0.5:2\n"
@@ -87,6 +104,58 @@ class TestCliExitCodes:
     def test_bad_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("old, new", [
+        ("[sim]\n", "[sim]\nsigam = 0.0\n"),
+        ("[space]\n", "[space]\nv_ee = 9.0:3.0:3\n"),
+        ("[run]\n", "[run]\nseed = 1\n"),
+        ("[ga]\n", "[simm]\nsigma = 0.0\n[ga]\n"),
+    ], ids=["sim-key", "space-key", "run-key", "section"])
+    def test_config_typo_exits_1(self, tmp_path, capsys, old, new):
+        with open(TOY_CFG) as fh:
+            text = fh.read()
+        assert old in text
+        p = tmp_path / "typo.cfg"
+        p.write_text(text.replace(old, new))
+        rc = main(["search", "--config", str(p), "--algo", "random",
+                   "--seed", "1", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "unknown" in err
+
+
+FAILURE_LINE = "run flagged invalid: scenario 5: RuntimeError: boom"
+
+
+@pytest.fixture
+def failing_evaluator(monkeypatch):
+    real = experiment.evaluate
+
+    def evaluate(scenario, *args, **kwargs):
+        if scenario.index == 5:
+            raise RuntimeError("boom")
+        return real(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "evaluate", evaluate)
+
+
+class TestFailureReporting:
+    def test_search_prints_failure(self, tmp_path, capsys, failing_evaluator):
+        rc = main(["search", "--config", TOY_CFG, "--algo", "alvns-sa",
+                   "--seed", "1", "--out", str(tmp_path)])
+        assert rc == EXIT_RUNTIME
+        assert FAILURE_LINE in capsys.readouterr().err.splitlines()
+
+    def test_compare_prints_each_failure(self, tmp_path, capsys,
+                                         failing_evaluator):
+        rc = main(["compare", "--config", TOY_CFG, "--out", str(tmp_path)])
+        assert rc == EXIT_RUNTIME
+        lines = capsys.readouterr().err.splitlines()
+        # every toy run tests scenario 5: 4 algorithms x 2 seeds
+        assert sorted(lines) == sorted(
+            f"{algorithm} seed {seed}: {FAILURE_LINE}"
+            for algorithm in ("alvns-sa", "alns-sa", "ga", "random")
+            for seed in (1, 2))
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +210,13 @@ class TestCompareAndReport:
         for label in [c.label for c in ScenarioClass]:
             assert label in out
         assert "alvns-sa" in out and "random" in out
+
+    def test_report_closes_summary(self, bundle):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            render_report(str(bundle))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_report_missing_dir(self, tmp_path, capsys):
         rc = main(["report", "--in", str(tmp_path)])

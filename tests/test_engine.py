@@ -1,0 +1,88 @@
+"""The campaign driver's contract, shared by every search algorithm: no
+retest, an exact budget, and evaluator failures recorded, not raised."""
+
+import functools
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import scenariosearch
+from scenariosearch.alvns import SearchConfig, run_alvns_sa
+from scenariosearch.baselines import GAConfig, run_alns_sa, run_ga, run_random
+from scenariosearch.engine import Archive, EvaluationFailure, InvariantError
+from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
+from scenariosearch.space import ParamSpec, build_space
+
+TOY = build_space([
+    ParamSpec("v_e", 9.0, 3.0, 3),
+    ParamSpec("v_o", 5.5, 4.0, 3),
+    ParamSpec("d", 13.5, 10.0, 2),
+    ParamSpec("a", -0.05, -1.6, 2),
+])
+GOOD = functools.partial(evaluate, sim_config=SimConfig(sigma=0.0),
+                         ego_config=EgoControllerConfig(), run_seed=0)
+
+RUNNERS = {
+    "random": lambda ev: run_random(20, TOY, ev, seed=1),
+    "ga": lambda ev: run_ga(GAConfig(population=6, budget=20, seed=1), TOY, ev),
+    "alvns-sa": lambda ev: run_alvns_sa(SearchConfig(budget=20, seed=1), TOY, ev),
+    "alns-sa": lambda ev: run_alns_sa(SearchConfig(budget=20, seed=1), TOY, ev),
+}
+
+
+@pytest.mark.parametrize("n", [1, 4, 10])
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_evaluator_failure_recorded(algorithm, n):
+    calls = []
+
+    def flaky(scenario):
+        calls.append(scenario.index)
+        if len(calls) == n:
+            raise RuntimeError("simulator crashed")
+        return GOOD(scenario)
+
+    res = RUNNERS[algorithm](flaky)
+    assert res.invalid
+    assert res.failure == EvaluationFailure(calls[n - 1], "RuntimeError",
+                                            "simulator crashed")
+    assert str(res.failure) == f"scenario {calls[n - 1]}: RuntimeError: simulator crashed"
+    assert len(calls) == n  # the run stops at the failure
+    assert res.archive_order == calls[: n - 1] and res.n_evaluations == n - 1
+
+
+def test_ga_redirect_to_tested_scenario_raises(monkeypatch):
+    # a redirect that breaks the no-retest contract is a driver bug, not an
+    # evaluator failure: it must surface, not flag the run invalid
+    monkeypatch.setattr(Archive, "nearest_untested",
+                        lambda self, point: int(np.flatnonzero(self.tested)[0]))
+    with pytest.raises(InvariantError, match="already tested"):
+        run_ga(GAConfig(population=6, budget=36, seed=1), TOY, GOOD)
+
+
+INVARIANTS_SNIPPET = """
+from scenariosearch.engine import BudgetedEvaluator, InvariantError
+from scenariosearch.space import default_space
+space = default_space()
+drv = BudgetedEvaluator(space, lambda s: s.index, budget=2)
+print(__debug__)
+for idx in (0, 0, 1, 2):
+    try:
+        print(drv.evaluate(space.index_to_scenario(idx)))
+    except InvariantError as exc:
+        print(exc)
+"""
+
+
+def test_invariants_raise_under_optimize():
+    src = os.path.dirname(os.path.dirname(scenariosearch.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", INVARIANTS_SNIPPET],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False", "0", "scenario 0 was already tested", "1",
+        "evaluation budget exhausted",
+    ]
