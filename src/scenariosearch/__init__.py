@@ -1,49 +1,1 @@
 """Adaptive metaheuristic search for safety-critical rear-end test scenarios."""
-
-from .alvns import SearchConfig, run_alvns_sa, vns_repair
-from .baselines import GAConfig, run_alns_sa, run_ga, run_random
-from .engine import Archive, BudgetedEvaluator, RunResult, SpaceExhausted
-from .oracle import brute_force_oracle, oracle_classified_sets
-from .risk import ScenarioClass, classify, gttc, gttc_min
-from .sim import EgoControllerConfig, EvaluationResult, SimConfig, evaluate, simulate
-from .space import (
-    ConfigurationError,
-    ParamSpec,
-    Scenario,
-    ScenarioSpace,
-    build_space,
-    default_space,
-)
-
-__all__ = [
-    "Archive",
-    "BudgetedEvaluator",
-    "ConfigurationError",
-    "EgoControllerConfig",
-    "EvaluationResult",
-    "GAConfig",
-    "ParamSpec",
-    "RunResult",
-    "Scenario",
-    "ScenarioClass",
-    "ScenarioSpace",
-    "SearchConfig",
-    "SimConfig",
-    "SpaceExhausted",
-    "brute_force_oracle",
-    "build_space",
-    "classify",
-    "default_space",
-    "evaluate",
-    "gttc",
-    "gttc_min",
-    "oracle_classified_sets",
-    "run_alns_sa",
-    "run_alvns_sa",
-    "run_ga",
-    "run_random",
-    "simulate",
-    "vns_repair",
-]
-
-__version__ = "0.1.0"

@@ -85,27 +85,16 @@ def run_alvns_sa(
     # the budget never exceeds the grid, so repairs always find an untested scenario
     while drv.remaining > 0:
         destroy_id = ops.select_operator(bank, "destroy", rng)
-        xi = ops.sample_xi(
-            space,
-            (destroy_id - 1) // 2,
-            cur_res.crash,
-            cur_res.gttc_min,
-            drv.count,
-            drv.budget,
-            rejections,
-            config.rejection_threshold,
-            rng,
-        )
+        frac = ops.xi_fraction(cur_res.risk_class, drv.count / drv.budget,
+                               rejections > config.rejection_threshold)
+        xi = ops.sample_xi(space, (destroy_id - 1) // 2, frac, rng)
         point = ops.destroy(current, destroy_id, xi, space)
         candidate, repair_id = repair(point, space, drv.archive, bank, rng)
         res = drv.evaluate(candidate)
         if res is None:
             break
         f_new = capped(res.gttc_min)
-        if f_new < f_current:
-            accepted = True
-        else:
-            accepted = ops.sa_accept(f_new - f_current, t_current, rng)
+        accepted = ops.sa_accept(f_new - f_current, t_current, rng)
         theta = ops.score_delta(cur_res.gttc_min, res.gttc_min, accepted)
         drv.log(candidate, res, accepted, destroy_id, repair_id, t_current)
 

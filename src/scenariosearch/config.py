@@ -115,7 +115,7 @@ def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
             f"budget {budget} must be in [1, {space.cardinality}]")
 
     workers_raw = int(run_sec.get("workers", 0))
-    return ExperimentConfig(
+    config = ExperimentConfig(
         space=space,
         sim=SimConfig(**_read_section(parser, "sim")),
         ego=EgoControllerConfig(**_read_section(parser, "ego")),
@@ -127,3 +127,7 @@ def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
         sa_params=_read_section(parser, "alvns_sa"),
         ga_params=_read_section(parser, "ga"),
     )
+    # build the search configs once, so that a bad value fails at load
+    config.search_config(seeds[0])
+    config.ga_config(seeds[0])
+    return config

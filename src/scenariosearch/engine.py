@@ -8,6 +8,7 @@ from typing import Callable
 
 import numpy as np
 
+from .metrics import ClassifiedSets, classified_sets
 from .risk import INF, ScenarioClass
 from .sim import EvaluationResult
 from .space import ContinuousPoint, Scenario, ScenarioSpace
@@ -202,8 +203,5 @@ class RunResult:
     def best_gttc_min(self) -> float:
         return min((r.gttc_min for r in self.rows), default=INF)
 
-    def classified_sets(self) -> dict[ScenarioClass, set[int]]:
-        sets: dict[ScenarioClass, set[int]] = {c: set() for c in ScenarioClass}
-        for row in self.rows:
-            sets[row.risk_class].add(row.scenario.index)
-        return sets
+    def classified_sets(self) -> ClassifiedSets:
+        return classified_sets((r.risk_class, r.scenario.index) for r in self.rows)

@@ -229,8 +229,7 @@ def render_report(in_dir: str) -> str:
 
 def load_log_sets(path: str) -> metrics.ClassifiedSets:
     """Classified index sets from one evaluation-log CSV."""
-    sets: metrics.ClassifiedSets = {c: set() for c in ScenarioClass}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            sets[LABEL_TO_CLASS[row["class"]]].add(int(row["scenario_index"]))
-    return sets
+        return metrics.classified_sets(
+            (LABEL_TO_CLASS[row["class"]], int(row["scenario_index"]))
+            for row in csv.DictReader(fh))

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .risk import SAFETY_CRITICAL, ScenarioClass
 
 ClassifiedSets = dict[ScenarioClass, set[int]]
+
+
+def classified_sets(pairs: Iterable[tuple[ScenarioClass, int]]) -> ClassifiedSets:
+    """Scenario indices grouped by risk class, with a set for every class."""
+    sets: ClassifiedSets = {c: set() for c in ScenarioClass}
+    for cls, idx in pairs:
+        sets[cls].add(idx)
+    return sets
 
 
 def proportion(sets: ClassifiedSets) -> dict[ScenarioClass, float]:

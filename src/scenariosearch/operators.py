@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .risk import INF
+from .risk import ScenarioClass, classify
 from .space import ContinuousPoint, Scenario, ScenarioSpace
 
 N_DESTROY = 8
@@ -70,48 +70,29 @@ def select_operator(bank: OperatorBank, kind: str, rng) -> int:
     return roulette(weights, rng) + 1
 
 
-def xi_fraction(
-    crash: bool,
-    gttc_min_value: float,
-    it: int,
-    it_max: int,
-    rejection_count: int,
-    rejection_threshold: int,
-) -> float:
-    """Upper bound of the destruction step as a fraction of the parameter range.
+# Upper bound of the destruction step as a fraction of the parameter range,
+# by the current scenario's risk class, once consecutive rejections exceed the
+# threshold: a riskier current scenario takes smaller, more local steps, and
+# the risk-free step shrinks with search progress. Row: (base, progress slope).
+_XI = {
+    ScenarioClass.CRASH: (0.1, 0.0),
+    ScenarioClass.NEAR_CRASH: (0.2, 0.0),
+    ScenarioClass.HIGH_RISK: (0.3, 0.0),
+    ScenarioClass.RISK: (0.8, 0.0),
+    ScenarioClass.RISK_FREE: (0.8, 0.4),
+}
 
-    Below the rejection threshold the step stays at the tightest band; once
-    consecutive rejections exceed it, the band widens with the current
-    scenario's risk level (riskier current scenario -> smaller, more local
-    steps) and shrinks with search progress in the risk-free band.
-    """
-    if rejection_count <= rejection_threshold:
+
+def xi_fraction(risk_class: ScenarioClass, progress: float, widened: bool) -> float:
+    """The tightest band (0.1) until the step is widened, then the class's
+    band at `progress`, the spent share of the budget."""
+    if not widened:
         return 0.1
-    if crash:
-        return 0.1
-    if gttc_min_value <= 0.5:
-        return 0.2
-    if gttc_min_value <= 1.0:
-        return 0.3
-    if gttc_min_value <= 2.0:
-        return 0.8
-    return 0.8 - 0.4 * (it / it_max if it_max > 0 else 1.0)
+    base, slope = _XI[risk_class]
+    return base - slope * progress
 
 
-def sample_xi(
-    space: ScenarioSpace,
-    param_index: int,
-    crash: bool,
-    gttc_min_value: float,
-    it: int,
-    it_max: int,
-    rejection_count: int,
-    rejection_threshold: int,
-    rng,
-) -> float:
-    frac = xi_fraction(
-        crash, gttc_min_value, it, it_max, rejection_count, rejection_threshold
-    )
+def sample_xi(space: ScenarioSpace, param_index: int, frac: float, rng) -> float:
     span = space.specs[param_index].span
     if span == 0.0:
         return 0.0
@@ -140,25 +121,24 @@ def sa_accept(delta: float, t_current: float, rng) -> bool:
     return rng.random() < math.exp(-delta / t_current)
 
 
-# Score credited to the operators of one iteration, banded by the new
-# scenario's GTTC_min. Column order: improvement, accepted-worse, rejected.
-_THETA_BANDS = (
-    (0.5, (2.6, 2.0, 1.8)),
-    (1.0, (2.2, 1.6, 1.4)),
-    (2.0, (1.8, 1.2, 1.0)),
-    (INF, (0.2, 0.1, 0.0)),
-)
+# Score credited to the operators of one iteration, by the new scenario's
+# risk class. Columns: improvement, accepted-worse, rejected.
+_THETA = {
+    ScenarioClass.CRASH: (2.6, 2.0, 1.8),
+    ScenarioClass.NEAR_CRASH: (2.6, 2.0, 1.8),
+    ScenarioClass.HIGH_RISK: (2.2, 1.6, 1.4),
+    ScenarioClass.RISK: (1.8, 1.2, 1.0),
+    ScenarioClass.RISK_FREE: (0.2, 0.1, 0.0),
+}
 
 
 def score_delta(old: float, new: float, accepted: bool) -> float:
-    if (old < 0.0 and not math.isinf(old)) or (new < 0.0 and not math.isinf(new)):
-        raise ValueError("GTTC_min values must be nonnegative")
-    for bound, (improved, acc, rej) in _THETA_BANDS:
-        if new <= bound:
-            if new < old:
-                return improved
-            return acc if accepted else rej
-    raise AssertionError("unreachable")
+    if old < 0.0 or math.isnan(old):
+        raise ValueError(f"GTTC_min must be >= 0, got {old}")
+    improved, acc, rej = _THETA[classify(new)]
+    if new < old:
+        return improved
+    return acc if accepted else rej
 
 
 def update_bank(

@@ -9,8 +9,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-from .metrics import ClassifiedSets
-from .risk import ScenarioClass
+from .metrics import ClassifiedSets, classified_sets
 from .sim import EgoControllerConfig, EvaluationResult, SimConfig, evaluate
 from .space import ParamSpec, ScenarioSpace, build_space
 
@@ -65,7 +64,4 @@ def brute_force_oracle(
 
 
 def oracle_classified_sets(oracle: list[EvaluationResult]) -> ClassifiedSets:
-    sets: ClassifiedSets = {c: set() for c in ScenarioClass}
-    for res in oracle:
-        sets[res.risk_class].add(res.scenario_index)
-    return sets
+    return classified_sets((r.risk_class, r.scenario_index) for r in oracle)

@@ -84,9 +84,12 @@ class EvaluationResult:
     scenario_index: int
     gttc_min: float
     risk_class: ScenarioClass
-    crash: bool
     n_steps: int
     seed: int
+
+    @property
+    def crash(self) -> bool:
+        return self.risk_class is ScenarioClass.CRASH
 
 
 def _advance(pos: float, v: float, a: float, dt: float) -> tuple[float, float]:
@@ -141,7 +144,8 @@ def simulate(
 
         ego_p, ego_v = _advance(ego_p, ego_v, ego_a, dt)
         obj_p, obj_v = _advance(obj_p, obj_v, obj_a, dt)
-        assert math.isfinite(ego_p) and math.isfinite(obj_p), "state diverged"
+        if not (math.isfinite(ego_p) and math.isfinite(obj_p)):
+            raise FloatingPointError("state diverged")
 
         new_gap = obj_p - ego_p
         if new_gap <= 0.0:
@@ -173,7 +177,6 @@ def evaluate(
         scenario_index=scenario.index,
         gttc_min=g,
         risk_class=classify(g),
-        crash=g == 0.0,
         n_steps=len(traj),
         seed=seed,
     )

@@ -123,6 +123,27 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "unknown" in err
 
+    @pytest.mark.parametrize("command", ["search", "compare"])
+    @pytest.mark.parametrize("old, new", [
+        ("alpha = 0.95", "alpha = 1.5"),
+        ("population = 6", "population = 1"),
+    ], ids=["alpha", "population"])
+    def test_rejected_value_exits_1_before_writing(self, tmp_path, capsys,
+                                                   command, old, new):
+        with open(TOY_CFG) as fh:
+            text = fh.read()
+        assert old in text
+        p = tmp_path / "bad.cfg"
+        p.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(p), "--out", str(out)]
+        if command == "search":
+            argv += ["--algo", "alvns-sa" if "alpha" in new else "ga",
+                     "--seed", "1"]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
 
 FAILURE_LINE = "run flagged invalid: scenario 5: RuntimeError: boom"
 

@@ -2,6 +2,7 @@
 retest, an exact budget, and evaluator failures recorded, not raised."""
 
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 
 import scenariosearch
+from scenariosearch import sim
 from scenariosearch.alvns import SearchConfig, run_alvns_sa
 from scenariosearch.baselines import GAConfig, run_alns_sa, run_ga, run_random
 from scenariosearch.engine import Archive, EvaluationFailure, InvariantError
+from scenariosearch.rng import make_generator
 from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
 from scenariosearch.space import ParamSpec, build_space
 
@@ -51,6 +54,15 @@ def test_evaluator_failure_recorded(algorithm, n):
     assert str(res.failure) == f"scenario {calls[n - 1]}: RuntimeError: simulator crashed"
     assert len(calls) == n  # the run stops at the failure
     assert res.archive_order == calls[: n - 1] and res.n_evaluations == n - 1
+
+
+def test_diverged_state_recorded_as_failure(monkeypatch):
+    monkeypatch.setattr(sim, "_advance", lambda pos, v, a, dt: (math.inf, v))
+    res = run_random(20, TOY, GOOD, seed=1)
+    first = int(make_generator(1).permutation(TOY.cardinality)[0])
+    assert res.failure == EvaluationFailure(first, "FloatingPointError",
+                                            "state diverged")
+    assert res.n_evaluations == 0
 
 
 def test_ga_redirect_to_tested_scenario_raises(monkeypatch):

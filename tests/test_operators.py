@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scenariosearch import operators as ops
-from scenariosearch.risk import INF
+from scenariosearch.risk import INF, classify
 from scenariosearch.rng import make_generator
 from scenariosearch.space import default_space
 
@@ -71,35 +71,42 @@ class TestSampleXi:
     def test_baseline_band_below_threshold(self):
         rng = make_generator(4)
         span = SPACE.specs[0].span
+        frac = ops.xi_fraction(classify(5.0), 0 / 100, 2 > 5)
         for _ in range(200):
-            xi = ops.sample_xi(SPACE, 0, False, 5.0, 0, 100, 2, 5, rng)
+            xi = ops.sample_xi(SPACE, 0, frac, rng)
             assert 0.0 <= xi <= 0.1 * span
 
     def test_crash_band(self):
         rng = make_generator(5)
         span = SPACE.specs[2].span
+        frac = ops.xi_fraction(classify(0.0), 50 / 100, 10 > 5)
+        assert frac == 0.1
         for _ in range(200):
-            xi = ops.sample_xi(SPACE, 2, True, 0.0, 50, 100, 10, 5, rng)
+            xi = ops.sample_xi(SPACE, 2, frac, rng)
             assert xi <= 0.1 * span
 
     def test_risk_free_band_shrinks_with_progress(self):
         rng = make_generator(6)
         span = SPACE.specs[1].span
+        frac = ops.xi_fraction(classify(3.0), 100 / 100, 10 > 5)
+        assert frac == pytest.approx(0.4)
+        assert ops.xi_fraction(classify(INF), 0.25, True) == pytest.approx(0.7)
         for _ in range(200):
-            xi = ops.sample_xi(SPACE, 1, False, 3.0, 100, 100, 10, 5, rng)
+            xi = ops.sample_xi(SPACE, 1, frac, rng)
             assert xi <= 0.4 * span
 
     @pytest.mark.parametrize("g,frac", [
         (0.3, 0.2), (0.5, 0.2), (0.8, 0.3), (1.0, 0.3), (1.5, 0.8), (2.0, 0.8),
     ])
     def test_adaptive_bands(self, g, frac):
-        assert ops.xi_fraction(False, g, 0, 100, 10, 5) == frac
+        assert ops.xi_fraction(classify(g), 0 / 100, 10 > 5) == frac
+        assert ops.xi_fraction(classify(g), 0 / 100, False) == 0.1
 
     def test_degenerate_axis(self):
         from scenariosearch.space import ParamSpec, build_space
         sp = build_space([ParamSpec(n, 1.0, 1.0, 1) for n in "abcd"])
-        assert ops.sample_xi(sp, 0, False, 5.0, 0, 10, 0, 5,
-                             make_generator(0)) == 0.0
+        frac = ops.xi_fraction(classify(5.0), 0 / 10, 0 > 5)
+        assert ops.sample_xi(sp, 0, frac, make_generator(0)) == 0.0
 
 
 class TestDestroy:
@@ -180,6 +187,11 @@ class TestScoreDelta:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ops.score_delta(-1.0, 0.5, True)
+
+    @pytest.mark.parametrize("new", [math.nan, -1.0])
+    def test_invalid_new_rejected(self, new):
+        with pytest.raises(ValueError):
+            ops.score_delta(1.0, new, True)
 
 
 class TestUpdateBank:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scenariosearch import sim
 from scenariosearch.risk import INF, ScenarioClass
 from scenariosearch.sim import (
     EgoControllerConfig,
@@ -156,6 +157,12 @@ class TestEvaluate:
                              EgoControllerConfig(), run_seed=8)
                     for i in reversed(indices)]
         assert forward == list(reversed(backward))
+
+    def test_diverged_state_raises(self, monkeypatch):
+        # an explicit exception, so it holds under python -O too
+        monkeypatch.setattr(sim, "_advance", lambda pos, v, a, dt: (INF, v))
+        with pytest.raises(FloatingPointError, match="state diverged"):
+            evaluate(SPACE.index_to_scenario(0), QUIET, EgoControllerConfig(), 0)
 
     def test_crash_iff_gttc_zero(self):
         for idx in range(0, 60_480, 7001):
