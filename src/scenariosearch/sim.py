@@ -10,14 +10,22 @@ Integration is stepwise at dt with piecewise-constant acceleration; within a
 step the constant-acceleration kinematics are integrated exactly (including
 the stopping sub-step), so noise-free runs match closed-form trajectories to
 machine precision.
+
+The dynamics live in one step loop, the generator _steps(), which yields each
+step's state. It has two consumers: simulate() records every row in a
+TrajectoryRecord and is the per-step reference for tests and tracing;
+evaluate(), the hot path of every search and the oracle, keeps only a running
+minimum of the GTTC and a step count, and equals gttc_min(simulate(...))
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .risk import ScenarioClass, classify, gttc_min
+from .risk import INF, ScenarioClass, classify
 from .rng import make_generator, scenario_seed
 from .space import Scenario
 
@@ -100,47 +108,48 @@ def _advance(pos: float, v: float, a: float, dt: float) -> tuple[float, float]:
     return pos + v * dt + 0.5 * a * dt * dt, v + a * dt
 
 
-def simulate(
+def _steps(
     scenario: Scenario,
-    sim_config: SimConfig = SimConfig(),
-    ego_config: EgoControllerConfig = EgoControllerConfig(),
-    seed: int = 0,
-) -> TrajectoryRecord:
+    sim_config: SimConfig,
+    ego_config: EgoControllerConfig,
+    seed: int,
+) -> Iterator[tuple[float, float, float, float, float, float, float, bool]]:
+    """The step loop. Yields one row per step,
+    (t, ego_p, ego_v, ego_a, obj_p, obj_v, obj_a, contact), the contact row last.
+
+    Noise is drawn once as Python floats, so the loop does no numpy-scalar
+    arithmetic; the values are those of the same PCG64 stream.
+    """
     dt = sim_config.dt
     n_max = int(round(sim_config.t_max / dt))
     if sim_config.sigma > 0.0:
-        noise = make_generator(seed).normal(0.0, sim_config.sigma, n_max)
+        noise = make_generator(seed).normal(0.0, sim_config.sigma, n_max).tolist()
     else:
-        noise = None
+        noise = [0.0] * n_max
+    ttc_trigger = ego_config.ttc_trigger
+    min_gap = ego_config.min_gap_trigger
+    max_brake = ego_config.max_brake
+    a = scenario.a
 
     ego_p, ego_v = 0.0, scenario.v_e
     obj_p, obj_v = scenario.d, scenario.v_o
-    brake_latch_t = None
+    latched = False
+    brake_at = math.inf  # time from which the latched brake is applied
     open_steps = 0
-    rec = TrajectoryRecord()
 
     for k in range(n_max):
         t = k * dt
-        gap = obj_p - ego_p
-        closing = ego_v - obj_v
-
-        if brake_latch_t is None:
+        if not latched:
+            gap = obj_p - ego_p
+            closing = ego_v - obj_v
             ttc = gap / closing if closing > 0.0 else math.inf
-            if ttc < ego_config.ttc_trigger or gap < ego_config.min_gap_trigger:
-                brake_latch_t = t
-        braking = (
-            brake_latch_t is not None
-            and t >= brake_latch_t + ego_config.reaction_time - 1e-12
-        )
-        ego_a = -ego_config.max_brake if (braking and ego_v > 0.0) else 0.0
+            if ttc < ttc_trigger or gap < min_gap:
+                latched = True
+                brake_at = t + ego_config.reaction_time - 1e-12
+        ego_a = -max_brake if (t >= brake_at and ego_v > 0.0) else 0.0
+        obj_a = min(a + noise[k], 0.0) if obj_v > 0.0 else 0.0
 
-        if obj_v > 0.0:
-            obj_a = scenario.a + (noise[k] if noise is not None else 0.0)
-            obj_a = min(obj_a, 0.0)
-        else:
-            obj_a = 0.0
-
-        rec.append(t, ego_p, ego_v, ego_a, obj_p, obj_v, obj_a, False)
+        yield t, ego_p, ego_v, ego_a, obj_p, obj_v, obj_a, False
 
         ego_p, ego_v = _advance(ego_p, ego_v, ego_a, dt)
         obj_p, obj_v = _advance(obj_p, obj_v, obj_a, dt)
@@ -149,17 +158,28 @@ def simulate(
 
         new_gap = obj_p - ego_p
         if new_gap <= 0.0:
-            rec.append((k + 1) * dt, ego_p, ego_v, 0.0, obj_p, obj_v, 0.0, True)
-            break
+            yield (k + 1) * dt, ego_p, ego_v, 0.0, obj_p, obj_v, 0.0, True
+            return
         if ego_v == 0.0 and obj_v == 0.0:
-            break
-        if ego_v <= obj_v and new_gap >= ego_config.min_gap_trigger:
+            return
+        if ego_v <= obj_v and new_gap >= min_gap:
             open_steps += 1
             if open_steps >= sim_config.open_gap_exit:
-                break
+                return
         else:
             open_steps = 0
 
+
+def simulate(
+    scenario: Scenario,
+    sim_config: SimConfig = SimConfig(),
+    ego_config: EgoControllerConfig = EgoControllerConfig(),
+    seed: int = 0,
+) -> TrajectoryRecord:
+    """Every step of one run, as a record; the per-step reference."""
+    rec = TrajectoryRecord()
+    for row in _steps(scenario, sim_config, ego_config, seed):
+        rec.append(*row)
     return rec
 
 
@@ -169,14 +189,30 @@ def evaluate(
     ego_config: EgoControllerConfig = EgoControllerConfig(),
     run_seed: int = 0,
 ) -> EvaluationResult:
-    """One counterfactual test; deterministic in (scenario, configs, run_seed)."""
+    """One counterfactual test; deterministic in (scenario, configs, run_seed).
+
+    Equal to gttc_min(simulate(...)) and len(simulate(...)), computed as a
+    running minimum over the rows without keeping them.
+    """
     seed = scenario_seed(run_seed, scenario.index)
-    traj = simulate(scenario, sim_config, ego_config, seed)
-    g = gttc_min(traj)
+    best = INF
+    n_steps = 0
+    for _, ego_p, ego_v, _, obj_p, obj_v, _, contact in _steps(
+            scenario, sim_config, ego_config, seed):
+        n_steps += 1
+        if contact:
+            best = 0.0
+            break
+        gap = obj_p - ego_p
+        closing = ego_v - obj_v
+        if gap > 0.0 and closing > 0.0:
+            g = gap / closing
+            if g < best:
+                best = g
     return EvaluationResult(
         scenario_index=scenario.index,
-        gttc_min=g,
-        risk_class=classify(g),
-        n_steps=len(traj),
+        gttc_min=best,
+        risk_class=classify(best),
+        n_steps=n_steps,
         seed=seed,
     )

@@ -68,13 +68,6 @@ class ParamSpec:
             raise IndexError(f"{self.name}: level {k} out of range")
         return self.start + k * self.step
 
-    def level_of(self, v: float) -> int:
-        """Exact level for an on-grid value; raises if off-grid."""
-        k = int(round((v - self.start) / self.step)) if self.step else 0
-        if not 0 <= k < self.levels or abs(self.value(k) - v) > EPS:
-            raise ValueError(f"{self.name}: {v} is not on the grid")
-        return k
-
     def nearest_level(self, v: float) -> int:
         if self.levels == 1 or self.step == 0.0:
             return 0
@@ -168,10 +161,6 @@ class ScenarioSpace:
 
     def index_to_scenario(self, idx: int) -> Scenario:
         return self.scenario_from_levels(self.index_to_levels(idx))
-
-    def scenario_to_index(self, s: Scenario) -> int:
-        levels = tuple(spec.level_of(v) for spec, v in zip(self.specs, s.coords))
-        return self.levels_to_index(levels)
 
     def clamp(self, point) -> ContinuousPoint:
         coords = point.coords if isinstance(point, Scenario) else tuple(point)

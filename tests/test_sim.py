@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenariosearch import sim
-from scenariosearch.risk import INF, ScenarioClass
+from scenariosearch.risk import INF, ScenarioClass, classify, gttc_min
+from scenariosearch.rng import scenario_seed
 from scenariosearch.sim import (
     EgoControllerConfig,
     SimConfig,
     evaluate,
     simulate,
 )
-from scenariosearch.space import default_space
+from scenariosearch.space import ParamSpec, build_space, default_space
 
 SPACE = default_space()
 NO_BRAKE = EgoControllerConfig(reaction_time=0.0, max_brake=1.0,
@@ -164,8 +167,102 @@ class TestEvaluate:
         with pytest.raises(FloatingPointError, match="state diverged"):
             evaluate(SPACE.index_to_scenario(0), QUIET, EgoControllerConfig(), 0)
 
+    def test_builds_no_trajectory(self, monkeypatch):
+        # the hot path keeps a running minimum; only simulate() records rows
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate built a TrajectoryRecord")
+
+        monkeypatch.setattr(sim, "TrajectoryRecord", refuse)
+        res = evaluate(SPACE.index_to_scenario(4567), SimConfig(),
+                       EgoControllerConfig(), 0)
+        assert res.n_steps > 0
+
     def test_crash_iff_gttc_zero(self):
         for idx in range(0, 60_480, 7001):
             res = evaluate(SPACE.index_to_scenario(idx), SimConfig(),
                            EgoControllerConfig(), run_seed=2)
             assert res.crash == (res.gttc_min == 0.0)
+
+
+def assert_matches_reference(s, sim_config, ego_config, run_seed):
+    """evaluate() equals the GTTC reduction of the recorded trajectory, bit
+    for bit, and returns Python floats."""
+    res = evaluate(s, sim_config, ego_config, run_seed)
+    rec = simulate(s, sim_config, ego_config, scenario_seed(run_seed, s.index))
+    ref = gttc_min(rec)
+    assert type(res.gttc_min) is float
+    assert res.gttc_min.hex() == float(ref).hex()
+    assert res.risk_class is classify(ref)
+    assert res.n_steps == len(rec)
+    assert res.seed == scenario_seed(run_seed, s.index)
+    return res
+
+
+EGOS = st.sampled_from([EgoControllerConfig(), NO_BRAKE])
+SIGMAS = st.sampled_from([0.0, 0.1])
+RUN_SEEDS = st.integers(0, 2**63)
+
+
+class TestEvaluateMatchesSimulate:
+    @given(index=st.integers(0, SPACE.cardinality - 1), sigma=SIGMAS,
+           run_seed=RUN_SEEDS, ego=EGOS)
+    @settings(max_examples=300, deadline=None)
+    def test_default_grid(self, index, sigma, run_seed, ego):
+        assert_matches_reference(SPACE.index_to_scenario(index),
+                                 SimConfig(sigma=sigma), ego, run_seed)
+
+    @given(levels=st.tuples(*(st.integers(0, n - 1) for n in (3, 1, 4, 1))),
+           sigma=SIGMAS, run_seed=RUN_SEEDS)
+    @settings(max_examples=50, deadline=None)
+    def test_one_level_axes(self, levels, sigma, run_seed):
+        space = build_space([ParamSpec("v_e", 12.0, 2.0, 3),
+                             ParamSpec("v_o", 8.0, 0.0, 1),
+                             ParamSpec("d", 6.0, 4.0, 4),
+                             ParamSpec("a", -1.0, 0.0, 1)])
+        assert_matches_reference(space.scenario_from_levels(levels),
+                                 SimConfig(sigma=sigma), EgoControllerConfig(),
+                                 run_seed)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_contact_on_first_step(self, sigma):
+        space = build_space([ParamSpec("v_e", 16.5, 0.0, 1),
+                             ParamSpec("v_o", 5.5, 0.0, 1),
+                             ParamSpec("d", 0.01, 0.0, 1),
+                             ParamSpec("a", -1.65, 0.0, 1)])
+        res = assert_matches_reference(space.index_to_scenario(0),
+                                       SimConfig(sigma=sigma),
+                                       EgoControllerConfig(), 3)
+        assert res.gttc_min == 0.0 and res.n_steps == 2
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_never_closing(self, sigma):
+        res = assert_matches_reference(scenario(9.0, 15.5, 32.5, -0.05),
+                                       SimConfig(sigma=sigma),
+                                       EgoControllerConfig(), 4)
+        assert res.gttc_min == INF
+
+
+# (index, sigma, run_seed) -> float.hex(gttc_min), n_steps, computed with the
+# trajectory-recording evaluate; any drift in the step loop's arithmetic
+# changes them.
+GOLDEN = [
+    (53467, 0.0, 1, "0x0.0p+0", 20),
+    (49697, 0.1, 1, "0x0.0p+0", 27),
+    (57263, 0.0, 101, "0x1.bcfd72325939dp-2", 63),
+    (52950, 0.1, 101, "0x1.4b10cf5a89d15p-2", 63),
+    (49512, 0.0, 0, "0x1.a33fea33fe9f7p-1", 53),
+    (56788, 0.1, 1, "0x1.c1b1860af9327p-1", 39),
+    (33281, 0.0, 1, "0x1.bb8b7dfde8570p+0", 82),
+    (52684, 0.1, 1, "0x1.b18054af54696p+0", 77),
+    (2336, 0.0, 1, "inf", 20),
+    (29647, 0.1, 101, "inf", 20),
+]
+
+
+@pytest.mark.parametrize("index,sigma,run_seed,gttc_hex,n_steps", GOLDEN)
+def test_golden_values(index, sigma, run_seed, gttc_hex, n_steps):
+    res = evaluate(SPACE.index_to_scenario(index), SimConfig(sigma=sigma),
+                   EgoControllerConfig(), run_seed)
+    assert type(res.gttc_min) is float
+    assert res.gttc_min.hex() == gttc_hex
+    assert res.n_steps == n_steps

@@ -61,7 +61,7 @@ class TestIndexing:
     def test_round_trip_exhaustive(self):
         sp = default_space()
         for k in range(sp.cardinality):
-            assert sp.scenario_to_index(sp.index_to_scenario(k)) == k
+            assert sp.snap(sp.index_to_scenario(k).coords).index == k
 
     def test_out_of_range(self):
         sp = default_space()
@@ -89,8 +89,8 @@ class TestIndexing:
 class TestNeighborhood:
     def test_on_node_j1_box(self):
         sp = default_space()
-        center = sp.index_to_scenario(sp.scenario_to_index(
-            sp.snap((12.0, 10.0, 20.5, -0.85))))
+        center = sp.index_to_scenario(
+            sp.snap((12.0, 10.0, 20.5, -0.85)).index)
         box = sp.neighborhood(center, 1)
         assert len(box) == 81
         assert center.index in {s.index for s in box}
