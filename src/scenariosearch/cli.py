@@ -80,12 +80,13 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_RUNTIME
         elif args.command == "compare":
             config = load_config(args.config)
-            report = run_experiment(config, args.out)
-            print(f"wrote bundle to {args.out} ({len(report.runs)} runs)")
-            for run in report.failures:
+            runs = run_experiment(config, args.out)
+            print(f"wrote bundle to {args.out} ({len(runs)} runs)")
+            failures = [run for run in runs.values() if run.invalid]
+            for run in failures:
                 print(f"{run.algorithm} seed {run.seed}: run flagged invalid: "
                       f"{run.failure}", file=sys.stderr)
-            if report.failures:
+            if failures:
                 return EXIT_RUNTIME
         elif args.command == "report":
             print(render_report(args.in_dir))

@@ -109,6 +109,9 @@ def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
     seeds = tuple(int(s) for s in run_sec.get("seeds", "1").split(",") if s.strip())
     if not seeds:
         raise ConfigurationError("at least one seed is required")
+    for name, values in (("algorithm", algorithms), ("seed", seeds)):
+        if len(set(values)) < len(values):
+            raise ConfigurationError(f"[run] {name}s: duplicate entries in {values}")
     budget = int(run_sec.get("budget", 11000))
     if not 1 <= budget <= space.cardinality:
         raise ConfigurationError(

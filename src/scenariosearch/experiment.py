@@ -8,8 +8,6 @@ import functools
 import math
 import os
 import statistics
-import tempfile
-from dataclasses import dataclass, field
 
 from . import metrics
 from .baselines import run_alns_sa, run_ga, run_random
@@ -26,19 +24,21 @@ SUMMARY_HEADER = "algorithm,seed,class,P,coverage_union,coverage_oracle,n_evals"
 OPERATORS_HEADER = "algorithm,seed,kind,operator,weight,score,uses"
 DISTRIBUTION_HEADER = "algorithm,class,share"
 
+RunKey = tuple[str, int]  # (algorithm, seed)
 
-def fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return f"{x:.12g}"
+
+def fmt(x: float | None) -> str:
+    """One CSV cell: blank where the value is undefined."""
+    if x is None:
+        return ""
+    return "inf" if math.isinf(x) else f"{x:.12g}"
 
 
 def atomic_write(path: str, lines: list[str]) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with open(tmp, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except BaseException:
@@ -79,7 +79,7 @@ def log_lines(result: RunResult) -> list[str]:
             "1" if row.accepted else "0",
             str(row.destroy_op) if row.destroy_op is not None else "",
             str(row.repair_op) if row.repair_op is not None else "",
-            fmt(row.t_current) if row.t_current is not None else "",
+            fmt(row.t_current),
         ]))
     return lines
 
@@ -94,102 +94,78 @@ def write_oracle(space, oracle: list[EvaluationResult], out_dir: str) -> str:
     lines = [ORACLE_HEADER]
     for res in oracle:
         s = space.index_to_scenario(res.scenario_index)
-        lines.append(",".join([
-            str(res.scenario_index),
-            fmt(s.v_e), fmt(s.v_o), fmt(s.d), fmt(s.a),
-            fmt(res.gttc_min),
-            res.risk_class.label,
-        ]))
+        lines.append(",".join([str(res.scenario_index), *map(fmt, s.coords),
+                               fmt(res.gttc_min), res.risk_class.label]))
     path = os.path.join(out_dir, "oracle.csv")
     atomic_write(path, lines)
     return path
 
 
-@dataclass
-class ExperimentReport:
-    runs: dict[tuple[str, int], RunResult] = field(default_factory=dict)
-    oracle_sets: metrics.ClassifiedSets | None = None
-
-    @property
-    def failures(self) -> list[RunResult]:
-        return [r for r in self.runs.values() if r.invalid]
-
-
-def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
-    """Run every (algorithm, seed) pair plus the ground-truth oracle and
-    write the full CSV bundle into out_dir."""
+def run_experiment(config: ExperimentConfig, out_dir: str) -> dict[RunKey, RunResult]:
+    """Run every (algorithm, seed) pair plus the ground-truth oracle, write the
+    full CSV bundle into out_dir and return the runs."""
     os.makedirs(out_dir, exist_ok=True)
-    report = ExperimentReport()
-
     oracle = brute_force_oracle(
         config.space, config.sim, config.ego, config.oracle_seed, config.workers
     )
     write_oracle(config.space, oracle, out_dir)
-    report.oracle_sets = oracle_classified_sets(oracle)
+    oracle_sets = oracle_classified_sets(oracle)
 
+    runs = {}
     for algorithm in config.algorithms:
         for seed in config.seeds:
-            result = run_search(config, algorithm, seed)
-            report.runs[(algorithm, seed)] = result
-            write_log(result, out_dir)
+            runs[algorithm, seed] = run_search(config, algorithm, seed)
+            write_log(runs[algorithm, seed], out_dir)
 
-    summary = [SUMMARY_HEADER]
+    sets = {k: run.classified_sets() for k, run in runs.items()}
+    # A run that failed on its first evaluation tested nothing, so has no shares.
+    shares = {k: metrics.proportion(sets[k]) for k, run in runs.items() if run.rows}
+    tables = {"summary.csv": _summary_lines(config, runs, sets, shares, oracle_sets),
+              "operators.csv": _operator_lines(runs),
+              "distribution.csv": _distribution_lines(config, shares)}
+    for name, lines in tables.items():
+        atomic_write(os.path.join(out_dir, name), lines)
+    return runs
+
+
+def _summary_lines(config, runs, sets, shares, oracle_sets) -> list[str]:
+    """Per run and class: share, coverage of the seed's union and of the oracle."""
+    lines = [SUMMARY_HEADER]
     for seed in config.seeds:
-        per_algo_sets = {
-            a: report.runs[(a, seed)].classified_sets() for a in config.algorithms
-        }
+        by_algo = {a: sets[a, seed] for a in config.algorithms}
         for algorithm in config.algorithms:
-            sets = per_algo_sets[algorithm]
-            props = metrics.proportion(sets)
+            share = shares.get((algorithm, seed), {})
+            n = runs[algorithm, seed].n_evaluations
             for cls in ScenarioClass:
-                cov_u = metrics.coverage(per_algo_sets, cls, algorithm)
-                cov_o = metrics.coverage_vs_oracle(sets, report.oracle_sets, cls)
-                summary.append(",".join([
-                    algorithm,
-                    str(seed),
-                    cls.label,
-                    fmt(props[cls]),
-                    fmt(cov_u) if cov_u is not None else "",
-                    fmt(cov_o) if cov_o is not None else "",
-                    str(report.runs[(algorithm, seed)].n_evaluations),
-                ]))
-    atomic_write(os.path.join(out_dir, "summary.csv"), summary)
+                cov_u = metrics.coverage(by_algo, cls, algorithm)
+                cov_o = metrics.coverage_vs_oracle(by_algo[algorithm], oracle_sets, cls)
+                lines.append(f"{algorithm},{seed},{cls.label},{fmt(share.get(cls))},"
+                             f"{fmt(cov_u)},{fmt(cov_o)},{n}")
+    return lines
 
-    operators = [OPERATORS_HEADER]
-    for (algorithm, seed), result in report.runs.items():
-        bank = result.bank
-        if bank is None:
-            continue
-        for op in range(len(bank.destroy_weights)):
-            operators.append(",".join([
-                algorithm, str(seed), "destroy", str(op + 1),
-                fmt(bank.destroy_weights[op]),
-                fmt(bank.destroy_scores[op]),
-                str(int(bank.destroy_uses[op])),
-            ]))
-        for op in range(len(bank.repair_weights)):
-            operators.append(",".join([
-                algorithm, str(seed), "repair", str(op + 1),
-                fmt(bank.repair_weights[op]),
-                fmt(bank.repair_scores[op]),
-                str(int(bank.repair_uses[op])),
-            ]))
-    atomic_write(os.path.join(out_dir, "operators.csv"), operators)
 
-    distribution = [DISTRIBUTION_HEADER]
+def _operator_lines(runs) -> list[str]:
+    """Final weight, score and use count of every operator of each adaptive run."""
+    lines = [OPERATORS_HEADER]
+    for (algorithm, seed), run in runs.items():
+        for kind in ("destroy", "repair") if run.bank else ():
+            columns = zip(*(getattr(run.bank, f"{kind}_{column}")
+                            for column in ("weights", "scores", "uses")))
+            for op, (weight, score, uses) in enumerate(columns, start=1):
+                lines.append(f"{algorithm},{seed},{kind},{op},"
+                             f"{fmt(weight)},{fmt(score)},{int(uses)}")
+    return lines
+
+
+def _distribution_lines(config, shares) -> list[str]:
+    """Per algorithm and class: median share over the runs that tested anything."""
+    lines = [DISTRIBUTION_HEADER]
     for algorithm in config.algorithms:
-        shares = {cls: [] for cls in ScenarioClass}
-        for seed in config.seeds:
-            props = metrics.proportion(report.runs[(algorithm, seed)].classified_sets())
-            for cls in ScenarioClass:
-                shares[cls].append(props[cls])
+        tested = [share for (a, _), share in shares.items() if a == algorithm]
         for cls in ScenarioClass:
-            distribution.append(",".join([
-                algorithm, cls.label, fmt(statistics.median(shares[cls]))
-            ]))
-    atomic_write(os.path.join(out_dir, "distribution.csv"), distribution)
-
-    return report
+            median = statistics.median(s[cls] for s in tested) if tested else None
+            lines.append(f"{algorithm},{cls.label},{fmt(median)}")
+    return lines
 
 
 def render_report(in_dir: str) -> str:

@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .metrics import ClassifiedSets, classified_sets
 from .sim import EgoControllerConfig, EvaluationResult, SimConfig, evaluate
-from .space import ParamSpec, ScenarioSpace, build_space
+from .space import ScenarioSpace
 
 _CHUNK = 2048
 
@@ -24,14 +24,13 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def _evaluate_range(
-    specs: tuple[ParamSpec, ...],
+    space: ScenarioSpace,
     sim_config: SimConfig,
     ego_config: EgoControllerConfig,
     run_seed: int,
     start: int,
     stop: int,
 ) -> list[EvaluationResult]:
-    space = build_space(list(specs))
     return [
         evaluate(space.index_to_scenario(i), sim_config, ego_config, run_seed)
         for i in range(start, stop)
@@ -49,12 +48,12 @@ def brute_force_oracle(
     n = space.cardinality
     workers = resolve_workers(workers)
     if workers == 1 or n <= _CHUNK:
-        return _evaluate_range(space.specs, sim_config, ego_config, run_seed, 0, n)
+        return _evaluate_range(space, sim_config, ego_config, run_seed, 0, n)
     bounds = list(range(0, n, _CHUNK)) + [n]
     results: list[EvaluationResult] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_evaluate_range, space.specs, sim_config, ego_config,
+            pool.submit(_evaluate_range, space, sim_config, ego_config,
                         run_seed, lo, hi)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]

@@ -49,34 +49,32 @@ class ParamSpec:
         """Step magnitude used for normalization (0 on a zero-step axis)."""
         return abs(self.step)
 
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        """The axis table: the value of each level, start + k*step."""
+        return tuple(self.start + k * self.step for k in range(self.levels))
+
     @property
     def lo(self) -> float:
-        end = self.start + (self.levels - 1) * self.step
-        return min(self.start, end)
+        return min(self.values)
 
     @property
     def hi(self) -> float:
-        end = self.start + (self.levels - 1) * self.step
-        return max(self.start, end)
+        return max(self.values)
 
     @property
     def span(self) -> float:
         return self.hi - self.lo
 
-    def value(self, k: int) -> float:
-        if not 0 <= k < self.levels:
-            raise IndexError(f"{self.name}: level {k} out of range")
-        return self.start + k * self.step
-
     def nearest_level(self, v: float) -> int:
-        if self.levels == 1 or self.step == 0.0:
+        if self.levels == 1:
             return 0
         k = int(math.floor((v - self.start) / self.step + 0.5))
         return min(max(k, 0), self.levels - 1)
 
     def level_window(self, center: float, radius: float) -> tuple[int, int]:
         """Inclusive level range whose values lie in [center-radius, center+radius]."""
-        if self.levels == 1 or self.step == 0.0:
+        if self.levels == 1:
             if abs(self.start - center) <= radius + EPS:
                 return (0, 0)
             return (0, -1)
@@ -125,7 +123,7 @@ class ScenarioSpace:
     @cached_property
     def axis_values(self) -> tuple[np.ndarray, ...]:
         """Per-axis table of grid values, indexed by level."""
-        return tuple(s.start + np.arange(s.levels) * s.step for s in self.specs)
+        return tuple(np.array(s.values) for s in self.specs)
 
     @cached_property
     def scales(self) -> np.ndarray:
@@ -155,12 +153,12 @@ class ScenarioSpace:
             idx = idx * n + int(k)
         return idx
 
-    def scenario_from_levels(self, levels: tuple[int, ...]) -> Scenario:
-        vals = [spec.value(k) for spec, k in zip(self.specs, levels)]
-        return Scenario(*vals, index=self.levels_to_index(levels))
-
     def index_to_scenario(self, idx: int) -> Scenario:
-        return self.scenario_from_levels(self.index_to_levels(idx))
+        values = [s.values[k] for s, k in zip(self.specs, self.index_to_levels(idx))]
+        return Scenario(*values, index=int(idx))
+
+    def scenario_from_levels(self, levels: tuple[int, ...]) -> Scenario:
+        return self.index_to_scenario(self.levels_to_index(levels))
 
     def clamp(self, point) -> ContinuousPoint:
         coords = point.coords if isinstance(point, Scenario) else tuple(point)

@@ -9,7 +9,7 @@ from scenariosearch import experiment
 from scenariosearch.alvns import SearchConfig
 from scenariosearch.baselines import GAConfig
 from scenariosearch.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from scenariosearch.config import load_config
+from scenariosearch.config import ALGORITHMS, load_config
 from scenariosearch.experiment import load_log_sets, render_report
 from scenariosearch.risk import ScenarioClass
 from scenariosearch.sim import EgoControllerConfig, SimConfig
@@ -127,7 +127,9 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("old, new", [
         ("alpha = 0.95", "alpha = 1.5"),
         ("population = 6", "population = 1"),
-    ], ids=["alpha", "population"])
+        ("seeds = 1,2", "seeds = 1,1"),
+        ("algorithms = alvns-sa,alns-sa,ga,random", "algorithms = ga,ga"),
+    ], ids=["alpha", "population", "duplicate-seed", "duplicate-algorithm"])
     def test_rejected_value_exits_1_before_writing(self, tmp_path, capsys,
                                                    command, old, new):
         with open(TOY_CFG) as fh:
@@ -177,6 +179,32 @@ class TestFailureReporting:
             f"{algorithm} seed {seed}: {FAILURE_LINE}"
             for algorithm in ("alvns-sa", "alns-sa", "ga", "random")
             for seed in (1, 2))
+
+    def test_compare_bundle_with_runs_that_tested_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        def evaluate(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(experiment, "evaluate", evaluate)
+        rc = main(["compare", "--config", TOY_CFG, "--out", str(tmp_path)])
+        assert rc == EXIT_RUNTIME
+        runs = [(algorithm, seed) for algorithm in ALGORITHMS for seed in (1, 2)]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["oracle.csv", "summary.csv", "operators.csv", "distribution.csv"]
+            + [f"{algorithm}_seed{seed}.csv" for algorithm, seed in runs])
+        failures = capsys.readouterr().err.splitlines()
+        assert len(failures) == len(runs)
+        for (algorithm, seed), line in zip(runs, failures):
+            assert line.startswith(f"{algorithm} seed {seed}: run flagged invalid: ")
+            assert line.endswith(": RuntimeError: boom")
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(runs) * len(ScenarioClass)
+        assert all(r["P"] == "" and r["n_evals"] == "0" for r in rows)
+        with open(tmp_path / "distribution.csv", newline="") as fh:
+            assert all(r["share"] == "" for r in csv.DictReader(fh))
+        assert main(["report", "--in", str(tmp_path)]) == EXIT_OK
+        assert "n/a" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +259,12 @@ class TestCompareAndReport:
         for label in [c.label for c in ScenarioClass]:
             assert label in out
         assert "alvns-sa" in out and "random" in out
+
+    def test_files_follow_umask(self, bundle):
+        umask = os.umask(0)
+        os.umask(umask)
+        for name in os.listdir(bundle):
+            assert os.stat(bundle / name).st_mode & 0o777 == 0o666 & ~umask, name
 
     def test_report_closes_summary(self, bundle):
         with warnings.catch_warnings(record=True) as caught:

@@ -58,6 +58,14 @@ class TestIndexing:
         s = sp.index_to_scenario(sp.cardinality - 1)
         assert s.coords == pytest.approx((16.5, 15.5, 32.5, -1.65))
 
+    def test_axis_tables_exact(self):
+        sp = default_space()
+        for i in range(sp.cardinality):
+            levels = np.unravel_index(i, sp.shape)
+            want = [float.hex(s.start + int(k) * s.step)
+                    for s, k in zip(sp.specs, levels)]
+            assert [float.hex(v) for v in sp.index_to_scenario(i).coords] == want, i
+
     def test_round_trip_exhaustive(self):
         sp = default_space()
         for k in range(sp.cardinality):
