@@ -70,7 +70,7 @@ def run_alvns_sa(
     """Algorithm driver; `repair` is swappable so the no-VNS variant can
     reuse the identical loop."""
     rng = make_generator(config.seed)
-    drv = BudgetedEvaluator(space, evaluator, min(config.budget, space.cardinality))
+    drv = BudgetedEvaluator(space, evaluator, config.budget)
     bank = ops.init_bank()
 
     current = space.index_to_scenario(int(rng.integers(space.cardinality)))

@@ -30,7 +30,7 @@ def run_random(
     """Uniform sampling without replacement: a seeded shuffle of all grid
     indices, evaluated up to the budget."""
     rng = make_generator(seed)
-    drv = BudgetedEvaluator(space, evaluator, min(budget, space.cardinality))
+    drv = BudgetedEvaluator(space, evaluator, budget)
     order = rng.permutation(space.cardinality)[: drv.budget]
     for idx in order:
         scenario = space.index_to_scenario(int(idx))
@@ -53,6 +53,8 @@ class GAConfig:
     def __post_init__(self):
         if self.population < 2:
             raise ValueError("population must be >= 2")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
         for p in (self.crossover, self.mutation):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0, 1]")
@@ -74,7 +76,7 @@ def run_ga(
     children.
     """
     rng = make_generator(config.seed)
-    drv = BudgetedEvaluator(space, evaluator, min(config.budget, space.cardinality))
+    drv = BudgetedEvaluator(space, evaluator, config.budget)
     fitness: dict[int, float] = {}
 
     def eval_index(idx: int) -> bool:

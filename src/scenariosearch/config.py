@@ -31,7 +31,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     budget: int
     oracle_seed: int = 0
-    workers: int | None = None
+    workers: int = 0
     sa_params: dict = field(default_factory=dict)
     ga_params: dict = field(default_factory=dict)
 
@@ -109,6 +109,8 @@ def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
     seeds = tuple(int(s) for s in run_sec.get("seeds", "1").split(",") if s.strip())
     if not seeds:
         raise ConfigurationError("at least one seed is required")
+    if min(seeds) < 0:
+        raise ConfigurationError(f"[run] seeds: negative seed {min(seeds)}")
     for name, values in (("algorithm", algorithms), ("seed", seeds)):
         if len(set(values)) < len(values):
             raise ConfigurationError(f"[run] {name}s: duplicate entries in {values}")
@@ -117,7 +119,9 @@ def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigurationError(
             f"budget {budget} must be in [1, {space.cardinality}]")
 
-    workers_raw = int(run_sec.get("workers", 0))
+    workers = int(run_sec.get("workers", 0))
+    if workers < 0:
+        raise ConfigurationError(f"[run] workers: {workers} is negative (0 = one per CPU)")
     config = ExperimentConfig(
         space=space,
         sim=SimConfig(**_read_section(parser, "sim")),
@@ -126,7 +130,7 @@ def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
         seeds=seeds,
         budget=budget,
         oracle_seed=int(run_sec.get("oracle_seed", 0)),
-        workers=workers_raw if workers_raw > 0 else None,
+        workers=workers,
         sa_params=_read_section(parser, "alvns_sa"),
         ga_params=_read_section(parser, "ga"),
     )

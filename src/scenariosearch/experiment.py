@@ -15,7 +15,7 @@ from .alvns import run_alvns_sa
 from .config import ExperimentConfig
 from .engine import RunResult
 from .oracle import brute_force_oracle, oracle_classified_sets
-from .risk import LABEL_TO_CLASS, ScenarioClass
+from .risk import ScenarioClass
 from .sim import EvaluationResult, evaluate
 
 LOG_HEADER = "iter,scenario_index,v_e,v_o,d,a,gttc_min,class,accepted,destroy_op,repair_op,T_c"
@@ -202,10 +202,3 @@ def render_report(in_dir: str) -> str:
             lines.append(f"{cls.label:<12} {label:<16} " + " ".join(cells))
     return "\n".join(lines)
 
-
-def load_log_sets(path: str) -> metrics.ClassifiedSets:
-    """Classified index sets from one evaluation-log CSV."""
-    with open(path, newline="") as fh:
-        return metrics.classified_sets(
-            (LABEL_TO_CLASS[row["class"]], int(row["scenario_index"]))
-            for row in csv.DictReader(fh))

@@ -11,16 +11,16 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .metrics import ClassifiedSets, classified_sets
 from .sim import EgoControllerConfig, EvaluationResult, SimConfig, evaluate
-from .space import ScenarioSpace
+from .space import ConfigurationError, ScenarioSpace
 
 _CHUNK = 2048
 
 
-def resolve_workers(workers: int | None) -> int:
-    """A positive argument wins, else the CPU count."""
-    if workers is not None and workers > 0:
-        return workers
-    return max(1, os.cpu_count() or 1)
+def resolve_workers(workers: int) -> int:
+    """A positive count as given; 0 means one process per CPU."""
+    if workers < 0:
+        raise ConfigurationError(f"workers: {workers} is negative (0 = one per CPU)")
+    return workers or max(1, os.cpu_count() or 1)
 
 
 def _evaluate_range(
@@ -42,7 +42,7 @@ def brute_force_oracle(
     sim_config: SimConfig,
     ego_config: EgoControllerConfig,
     run_seed: int,
-    workers: int | None = None,
+    workers: int = 0,
 ) -> list[EvaluationResult]:
     """Full classification map, indexed by flat scenario index."""
     n = space.cardinality

@@ -31,8 +31,6 @@ _LABELS = {
     ScenarioClass.RISK_FREE: "risk-free",
 }
 
-LABEL_TO_CLASS = {v: k for k, v in _LABELS.items()}
-
 SAFETY_CRITICAL = (
     ScenarioClass.CRASH,
     ScenarioClass.NEAR_CRASH,

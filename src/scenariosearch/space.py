@@ -116,10 +116,6 @@ class ScenarioSpace:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "cardinality", int(np.prod(shape)))
 
-    @property
-    def gammas(self) -> tuple[float, ...]:
-        return tuple(s.gamma for s in self.specs)
-
     @cached_property
     def axis_values(self) -> tuple[np.ndarray, ...]:
         """Per-axis table of grid values, indexed by level."""
@@ -128,7 +124,7 @@ class ScenarioSpace:
     @cached_property
     def scales(self) -> np.ndarray:
         """Per-axis divisor of step-normalized distances (1 on a zero-step axis)."""
-        return np.array([g or 1.0 for g in self.gammas])
+        return np.array([s.gamma or 1.0 for s in self.specs])
 
     @cached_property
     def max_ring(self) -> int:
@@ -206,18 +202,3 @@ def build_space(specs: list[ParamSpec]) -> ScenarioSpace:
         raise ConfigurationError("exactly 4 parameter specs are required")
     return ScenarioSpace(specs=tuple(specs))
 
-
-def default_space() -> ScenarioSpace:
-    """The published 60,480-scenario grid.
-
-    The deceleration axis uses 9 levels (-0.05 to -1.65). The source ranges
-    extend to -1.85 (10 levels, 67,200 total), which contradicts the
-    published grid size; the 9-level grid keeps the headline cardinality
-    and the 10-level variant remains available through the config file.
-    """
-    return build_space([
-        ParamSpec("v_e", 9.0, 0.5, 16),
-        ParamSpec("v_o", 5.5, 0.5, 21),
-        ParamSpec("d", 13.5, 1.0, 20),
-        ParamSpec("a", -0.05, -0.2, 9),
-    ])

@@ -1,13 +1,15 @@
 import functools
+import os
 
 import pytest
 
 from scenariosearch import operators as ops
 from scenariosearch.alvns import SearchConfig, run_alvns_sa, vns_repair
+from scenariosearch.config import load_config
 from scenariosearch.engine import Archive, BudgetedEvaluator, InvariantError, SpaceExhausted
 from scenariosearch.rng import make_generator
 from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
-from scenariosearch.space import ParamSpec, build_space, default_space
+from scenariosearch.space import ParamSpec, build_space
 
 TOY = build_space([
     ParamSpec("v_e", 9.0, 3.0, 3),
@@ -23,6 +25,8 @@ FLAT_A = build_space([
     ParamSpec("a", -0.05, 0.0, 1),
 ])
 QUIET = SimConfig(sigma=0.0)
+DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
+DEFAULT_SPACE = load_config(DEFAULT_CFG).space
 
 
 def toy_evaluator(run_seed=0, sim=QUIET):
@@ -210,9 +214,9 @@ class TestRunAlvnsSa:
         assert res.invalid
         assert res.n_evaluations == 3
 
-    def test_budget_clamped_to_cardinality(self):
-        res = run(budget=10_000, seed=12)
-        assert res.n_evaluations == TOY.cardinality
+    def test_budget_above_cardinality_raises(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            run(budget=10_000, seed=12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -256,7 +260,7 @@ class TestArchive:
 
     def test_nearest_untested_is_first_of_max_ring_box(self):
         rng = make_generator(15)
-        for space in (TOY, FLAT_A, default_space()):
+        for space in (TOY, FLAT_A, DEFAULT_SPACE):
             for fill in (0.3, 0.9, 0.999):
                 archive = Archive(space)
                 n = min(int(fill * space.cardinality), space.cardinality - 1)
@@ -272,7 +276,7 @@ class TestArchive:
     def test_nearest_untested_tie_by_flat_index(self):
         # both cells lie at distance sqrt(22) from the point; the squared
         # distances sum to 22.000000000000004 (53481) and 22.0 (57433)
-        space = default_space()
+        space = DEFAULT_SPACE
         archive = Archive(space)
         for k in range(space.cardinality):
             if k not in (53481, 57433):

@@ -10,7 +10,7 @@ from scenariosearch.alvns import SearchConfig
 from scenariosearch.baselines import GAConfig
 from scenariosearch.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from scenariosearch.config import ALGORITHMS, load_config
-from scenariosearch.experiment import load_log_sets, render_report
+from scenariosearch.experiment import render_report
 from scenariosearch.risk import ScenarioClass
 from scenariosearch.sim import EgoControllerConfig, SimConfig
 from scenariosearch.space import ConfigurationError
@@ -101,6 +101,14 @@ class TestCliExitCodes:
         assert len(rows) == 36
         assert [int(r["scenario_index"]) for r in rows] == list(range(36))
 
+    def test_enumerate_negative_workers_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["enumerate", "--config", TOY_CFG, "--out", str(out),
+                   "--workers", "-1"])
+        assert rc == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -129,7 +137,11 @@ class TestCliExitCodes:
         ("population = 6", "population = 1"),
         ("seeds = 1,2", "seeds = 1,1"),
         ("algorithms = alvns-sa,alns-sa,ga,random", "algorithms = ga,ga"),
-    ], ids=["alpha", "population", "duplicate-seed", "duplicate-algorithm"])
+        ("seeds = 1,2", "seeds = -1,2"),
+        ("workers = 1", "workers = -3"),
+        ("generations = 200", "generations = -5"),
+    ], ids=["alpha", "population", "duplicate-seed", "duplicate-algorithm",
+            "negative-seed", "negative-workers", "negative-generations"])
     def test_rejected_value_exits_1_before_writing(self, tmp_path, capsys,
                                                    command, old, new):
         with open(TOY_CFG) as fh:
@@ -247,10 +259,9 @@ class TestCompareAndReport:
         assert all(float(r["weight"]) >= 0.0 for r in rows)
 
     def test_log_round_trip(self, bundle):
-        sets = load_log_sets(str(bundle / "alvns-sa_seed1.csv"))
+        sets = load_log_sets(bundle / "alvns-sa_seed1.csv")
         assert sum(len(s) for s in sets.values()) == 36
-        oracle_sets = load_log_sets_oracle(bundle)
-        assert sets == oracle_sets
+        assert sets == load_log_sets(bundle / "oracle.csv")
 
     def test_report_renders(self, bundle, capsys):
         rc = main(["report", "--in", str(bundle)])
@@ -278,13 +289,13 @@ class TestCompareAndReport:
         assert rc == 2
 
 
-def load_log_sets_oracle(bundle):
-    from scenariosearch.risk import LABEL_TO_CLASS
-
+def load_log_sets(path):
+    """Scenario indices per class, from an evaluation log or oracle.csv."""
+    by_label = {c.label: c for c in ScenarioClass}
     sets = {c: set() for c in ScenarioClass}
-    with open(bundle / "oracle.csv", newline="") as fh:
+    with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            sets[LABEL_TO_CLASS[row["class"]]].add(int(row["scenario_index"]))
+            sets[by_label[row["class"]]].add(int(row["scenario_index"]))
     return sets
 
 

@@ -76,8 +76,8 @@ def test_ga_redirect_to_tested_scenario_raises(monkeypatch):
 
 INVARIANTS_SNIPPET = """
 from scenariosearch.engine import BudgetedEvaluator, InvariantError
-from scenariosearch.space import default_space
-space = default_space()
+from scenariosearch.space import ParamSpec, build_space
+space = build_space([ParamSpec(name, 0.0, 1.0, 2) for name in "abcd"])
 drv = BudgetedEvaluator(space, lambda s: s.index, budget=2)
 print(__debug__)
 for idx in (0, 0, 1, 2):

@@ -1,14 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from scenariosearch import operators as ops
+from scenariosearch.config import load_config
 from scenariosearch.risk import INF, classify
 from scenariosearch.rng import make_generator
-from scenariosearch.space import default_space
 
-SPACE = default_space()
+DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
+SPACE = load_config(DEFAULT_CFG).space
 
 
 class TestInitBank:

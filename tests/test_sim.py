@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenariosearch import sim
+from scenariosearch.config import load_config
 from scenariosearch.risk import INF, ScenarioClass, classify, gttc_min
 from scenariosearch.rng import scenario_seed
 from scenariosearch.sim import (
@@ -14,9 +16,10 @@ from scenariosearch.sim import (
     evaluate,
     simulate,
 )
-from scenariosearch.space import ParamSpec, build_space, default_space
+from scenariosearch.space import ParamSpec, build_space
 
-SPACE = default_space()
+DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
+SPACE = load_config(DEFAULT_CFG).space
 NO_BRAKE = EgoControllerConfig(reaction_time=0.0, max_brake=1.0,
                                ttc_trigger=0.0, min_gap_trigger=0.0)
 QUIET = SimConfig(sigma=0.0)

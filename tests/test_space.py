@@ -1,16 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenariosearch.space import (
-    ConfigurationError,
-    ParamSpec,
-    build_space,
-    default_space,
-)
+from scenariosearch.config import load_config
+from scenariosearch.space import ConfigurationError, ParamSpec, build_space
+
+DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
+DEFAULT_SPACE = load_config(DEFAULT_CFG).space
 
 
 def toy_space():
@@ -24,7 +24,7 @@ def toy_space():
 
 class TestBuildSpace:
     def test_default_cardinality(self):
-        assert default_space().cardinality == 60_480
+        assert DEFAULT_SPACE.cardinality == 60_480
 
     def test_degenerate_grid(self):
         sp = build_space([ParamSpec(n, 1.0, 1.0, 1) for n in "abcd"])
@@ -50,16 +50,16 @@ class TestBuildSpace:
 
 class TestIndexing:
     def test_grid_origin(self):
-        s = default_space().index_to_scenario(0)
+        s = DEFAULT_SPACE.index_to_scenario(0)
         assert s.coords == (9.0, 5.5, 13.5, -0.05)
 
     def test_grid_extremum(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         s = sp.index_to_scenario(sp.cardinality - 1)
         assert s.coords == pytest.approx((16.5, 15.5, 32.5, -1.65))
 
     def test_axis_tables_exact(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         for i in range(sp.cardinality):
             levels = np.unravel_index(i, sp.shape)
             want = [float.hex(s.start + int(k) * s.step)
@@ -67,26 +67,26 @@ class TestIndexing:
             assert [float.hex(v) for v in sp.index_to_scenario(i).coords] == want, i
 
     def test_round_trip_exhaustive(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         for k in range(sp.cardinality):
             assert sp.snap(sp.index_to_scenario(k).coords).index == k
 
     def test_out_of_range(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         with pytest.raises(IndexError):
             sp.index_to_scenario(sp.cardinality)
         with pytest.raises(IndexError):
             sp.index_to_scenario(-1)
 
     def test_levels_out_of_range(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         for levels in [(16, 0, 0, 0), (0, -1, 0, 0), (0, 0, 20, 0),
                        (0, 0, 0, 9), (0, 0, 0)]:
             with pytest.raises(ValueError):
                 sp.levels_to_index(levels)
 
     def test_levels_in_c_order(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         for k in range(0, sp.cardinality, 97):
             levels = sp.index_to_levels(k)
             assert levels == tuple(int(v) for v in np.unravel_index(k, sp.shape))
@@ -96,7 +96,7 @@ class TestIndexing:
 
 class TestNeighborhood:
     def test_on_node_j1_box(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         center = sp.index_to_scenario(
             sp.snap((12.0, 10.0, 20.5, -0.85)).index)
         box = sp.neighborhood(center, 1)
@@ -104,7 +104,7 @@ class TestNeighborhood:
         assert center.index in {s.index for s in box}
 
     def test_boundary_box_is_smaller(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         box = sp.neighborhood(sp.index_to_scenario(0), 1)
         assert len(box) == 16  # 2*2*2*2 corner box
 
@@ -115,15 +115,15 @@ class TestNeighborhood:
 
     def test_off_node_point(self):
         # expected set computed by brute-force filtering of the full grid
-        sp = default_space()
+        sp = DEFAULT_SPACE
         point = (9.2, 5.5, 13.5, -0.05)
         got = {s.index for s in sp.neighborhood(point, 1)}
         expected = set()
         for k in range(sp.cardinality):
             s = sp.index_to_scenario(k)
             if all(
-                abs(c - p) <= j_gamma + 1e-9
-                for c, p, j_gamma in zip(s.coords, point, sp.gammas)
+                abs(c - p) <= spec.gamma + 1e-9
+                for c, p, spec in zip(s.coords, point, sp.specs)
             ):
                 expected.add(k)
         assert got == expected
@@ -141,18 +141,18 @@ class TestNeighborhood:
 
 class TestDistance:
     def test_identity(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         s = sp.index_to_scenario(17)
         assert sp.distance(s, s) == 0.0
 
     def test_single_step(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         a = sp.index_to_scenario(0)
         b = sp.snap((9.5, 5.5, 13.5, -0.05))
         assert sp.distance(a, b) == pytest.approx(1.0)
 
     def test_hand_computed(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         x = (9.0, 5.5, 13.5, -0.05)
         y = (9.5, 6.0, 14.5, -0.25)
         assert sp.distance(x, y) == pytest.approx(2.0)
@@ -171,16 +171,16 @@ class TestDistance:
 
 class TestClamp:
     def test_in_bounds_unchanged(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         p = (10.2, 7.7, 20.0, -1.0)
         assert sp.clamp(p) == p
 
     def test_upper_bound(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         assert sp.clamp((20.0, 7.7, 20.0, -1.0))[0] == 16.5
 
     def test_all_below_min(self):
-        sp = default_space()
+        sp = DEFAULT_SPACE
         clamped = sp.clamp((-5.0, 0.0, 0.0, -10.0))
         assert clamped == pytest.approx((9.0, 5.5, 13.5, -1.65))
         assert math.isclose(clamped[3], -1.65)
