@@ -13,7 +13,7 @@ from typing import Callable
 
 
 from . import operators as ops
-from .engine import BudgetedEvaluator, RunResult, SpaceExhausted, capped
+from .engine import BudgetedEvaluator, InvariantError, RunResult, capped
 from .rng import make_generator
 from .sim import EvaluationResult
 from .space import ContinuousPoint, Scenario, ScenarioSpace
@@ -36,8 +36,6 @@ class SearchConfig:
             raise ValueError("alpha must be in (0, 1)")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must be in (0, 1]")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
 
 
 def vns_repair(
@@ -57,7 +55,7 @@ def vns_repair(
         k = ops.select_operator(bank, "repair", rng)
         chosen = int(flats[k - 1]) if len(flats) >= 2 else int(flats[0])
         return space.index_to_scenario(chosen), k
-    raise SpaceExhausted
+    raise InvariantError("every scenario has been tested")
 
 
 def run_alvns_sa(
@@ -65,7 +63,6 @@ def run_alvns_sa(
     space: ScenarioSpace,
     evaluator: Callable[[Scenario], EvaluationResult],
     repair=vns_repair,
-    algorithm_name: str = "alvns-sa",
 ) -> RunResult:
     """Algorithm driver; `repair` is swappable so the no-VNS variant can
     reuse the identical loop."""
@@ -76,7 +73,7 @@ def run_alvns_sa(
     current = space.index_to_scenario(int(rng.integers(space.cardinality)))
     cur_res = drv.evaluate(current)
     if cur_res is None:
-        return drv.result(algorithm_name, config.seed, bank)
+        return drv.result(bank)
     t_current = config.t_begin
     drv.log(current, cur_res, accepted=True, t_current=t_current)
     f_current = capped(cur_res.gttc_min)
@@ -109,4 +106,4 @@ def run_alvns_sa(
         if t_current <= config.t_end:
             t_current = config.t_begin
 
-    return drv.result(algorithm_name, config.seed, bank)
+    return drv.result(bank)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import operators as ops
 from .alvns import SearchConfig, run_alvns_sa
-from .engine import BudgetedEvaluator, RunResult, SpaceExhausted, capped
+from .engine import BudgetedEvaluator, InvariantError, RunResult, capped
 from .rng import make_generator
 from .sim import EvaluationResult
 from .space import ContinuousPoint, Scenario, ScenarioSpace
@@ -38,7 +38,7 @@ def run_random(
         if res is None:
             break
         drv.log(scenario, res, accepted=True)
-    return drv.result("random", seed)
+    return drv.result()
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def run_ga(
         population = pool[: config.population]
         generation += 1
 
-    return drv.result("ga", config.seed, generations=generation)
+    return drv.result(generations=generation)
 
 
 def alns_repair(
@@ -159,7 +159,7 @@ def alns_repair(
             return space.index_to_scenario(int(flats[rng.integers(len(flats))])), k
     untested = np.flatnonzero(~archive.tested)
     if len(untested) == 0:
-        raise SpaceExhausted
+        raise InvariantError("every scenario has been tested")
     return space.index_to_scenario(int(untested[rng.integers(len(untested))])), k
 
 
@@ -168,5 +168,4 @@ def run_alns_sa(
     space: ScenarioSpace,
     evaluator: Callable[[Scenario], EvaluationResult],
 ) -> RunResult:
-    return run_alvns_sa(config, space, evaluator,
-                        repair=alns_repair, algorithm_name="alns-sa")
+    return run_alvns_sa(config, space, evaluator, repair=alns_repair)

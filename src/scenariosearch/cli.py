@@ -71,9 +71,11 @@ def main(argv: list[str] | None = None) -> int:
             path = write_oracle(config.space, oracle, args.out)
             print(f"wrote {path}")
         elif args.command == "search":
+            if args.seed < 0:
+                raise ConfigurationError(f"--seed: negative seed {args.seed}")
             config = load_config(args.config)
             result = run_search(config, args.algo, args.seed)
-            path = write_log(result, args.out)
+            path = write_log(result, args.out, args.algo, args.seed)
             print(f"wrote {path} ({result.n_evaluations} evaluations)")
             if result.invalid:
                 print(f"run flagged invalid: {result.failure}", file=sys.stderr)
@@ -82,10 +84,10 @@ def main(argv: list[str] | None = None) -> int:
             config = load_config(args.config)
             runs = run_experiment(config, args.out)
             print(f"wrote bundle to {args.out} ({len(runs)} runs)")
-            failures = [run for run in runs.values() if run.invalid]
-            for run in failures:
-                print(f"{run.algorithm} seed {run.seed}: run flagged invalid: "
-                      f"{run.failure}", file=sys.stderr)
+            failures = {key: run.failure for key, run in runs.items() if run.invalid}
+            for (algorithm, seed), failure in failures.items():
+                print(f"{algorithm} seed {seed}: run flagged invalid: {failure}",
+                      file=sys.stderr)
             if failures:
                 return EXIT_RUNTIME
         elif args.command == "report":

@@ -21,13 +21,10 @@ def capped(gttc_min_value: float) -> float:
     return min(gttc_min_value, F_CAP)
 
 
-class SpaceExhausted(Exception):
-    """Every grid scenario has been tested."""
-
-
 class InvariantError(RuntimeError):
-    """A search loop broke the no-retest or budget contract: a driver bug,
-    never an evaluator failure."""
+    """A search loop broke the no-retest or budget contract, or asked for an
+    untested scenario when none is left: a driver bug, never an evaluator
+    failure."""
 
 
 class Archive:
@@ -42,10 +39,6 @@ class Archive:
 
     def __contains__(self, idx: int) -> bool:
         return bool(self.tested[idx])
-
-    @property
-    def full(self) -> bool:
-        return self.count == self.space.cardinality
 
     def add(self, idx: int) -> None:
         if self.tested[idx]:
@@ -80,17 +73,16 @@ class Archive:
     def nearest_untested(self, point: ContinuousPoint) -> int:
         """Globally nearest untested scenario, ties by smaller flat index:
         for a point inside the grid, untested_in_box(point, max_ring)[0]."""
-        if self.full:
-            raise SpaceExhausted
+        if self.count == self.space.cardinality:
+            raise InvariantError("every scenario has been tested")
         whole = (slice(None),) * len(self.space.shape)
         return int(np.argmin(self._dist2(point, whole)))
 
 
 @dataclass(frozen=True)
 class LogRow:
-    """One evaluation, in the order it happened."""
+    """One evaluation; its number is its position in the log."""
 
-    iteration: int
     scenario: Scenario
     gttc_min: float
     risk_class: ScenarioClass
@@ -122,8 +114,8 @@ class BudgetedEvaluator:
         evaluator: Callable[[Scenario], EvaluationResult],
         budget: int,
     ):
-        if budget > space.cardinality:
-            raise ValueError("budget exceeds the scenario space cardinality")
+        if not 1 <= budget <= space.cardinality:
+            raise ValueError(f"budget {budget} must be in [1, {space.cardinality}]")
         self.space = space
         self.archive = Archive(space)
         self._evaluator = evaluator
@@ -156,7 +148,6 @@ class BudgetedEvaluator:
             destroy_op: int | None = None, repair_op: int | None = None,
             t_current: float | None = None) -> None:
         self.rows.append(LogRow(
-            iteration=self.count - 1,
             scenario=scenario,
             gttc_min=res.gttc_min,
             risk_class=res.risk_class,
@@ -166,17 +157,16 @@ class BudgetedEvaluator:
             t_current=t_current,
         ))
 
-    def result(self, algorithm: str, seed: int, bank=None, **extras) -> RunResult:
-        return RunResult(algorithm, seed, self.rows, bank, self.failure, extras)
+    def result(self, bank=None, **extras) -> RunResult:
+        return RunResult(self.rows, bank, self.failure, extras)
 
 
 @dataclass
 class RunResult:
     """Outcome of one search campaign: the evaluation log, in order, and the
-    evaluator failure that ended it early, if any."""
+    evaluator failure that ended it early, if any. The caller that started
+    the run knows its algorithm and seed."""
 
-    algorithm: str
-    seed: int
     rows: list[LogRow]
     bank: object | None = None
     failure: EvaluationFailure | None = None

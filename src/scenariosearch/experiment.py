@@ -68,10 +68,10 @@ def run_search(config: ExperimentConfig, algorithm: str, seed: int) -> RunResult
 
 def log_lines(result: RunResult) -> list[str]:
     lines = [LOG_HEADER]
-    for row in result.rows:
+    for i, row in enumerate(result.rows):
         s = row.scenario
         lines.append(",".join([
-            str(row.iteration),
+            str(i),
             str(s.index),
             fmt(s.v_e), fmt(s.v_o), fmt(s.d), fmt(s.a),
             fmt(row.gttc_min),
@@ -84,8 +84,8 @@ def log_lines(result: RunResult) -> list[str]:
     return lines
 
 
-def write_log(result: RunResult, out_dir: str) -> str:
-    path = os.path.join(out_dir, f"{result.algorithm}_seed{result.seed}.csv")
+def write_log(result: RunResult, out_dir: str, algorithm: str, seed: int) -> str:
+    path = os.path.join(out_dir, f"{algorithm}_seed{seed}.csv")
     atomic_write(path, log_lines(result))
     return path
 
@@ -115,7 +115,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict[RunKey, RunRe
     for algorithm in config.algorithms:
         for seed in config.seeds:
             runs[algorithm, seed] = run_search(config, algorithm, seed)
-            write_log(runs[algorithm, seed], out_dir)
+            write_log(runs[algorithm, seed], out_dir, algorithm, seed)
 
     sets = {k: run.classified_sets() for k, run in runs.items()}
     # A run that failed on its first evaluation tested nothing, so has no shares.

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .risk import INF, ScenarioClass, classify
 from .rng import make_generator, scenario_seed
@@ -44,6 +44,8 @@ class SimConfig:
             raise ValueError("t_max must be >= dt")
         if self.sigma < 0.0:
             raise ValueError("sigma must be >= 0")
+        if self.open_gap_exit < 1:
+            raise ValueError("open_gap_exit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -60,28 +62,19 @@ class EgoControllerConfig:
             raise ValueError("max_brake must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryRecord:
-    """Per-step longitudinal states of both vehicles."""
+    """Per-step longitudinal states of both vehicles, one list per column of
+    the step loop's rows."""
 
-    t: list[float] = field(default_factory=list)
-    ego_pos: list[float] = field(default_factory=list)
-    ego_v: list[float] = field(default_factory=list)
-    ego_a: list[float] = field(default_factory=list)
-    obj_pos: list[float] = field(default_factory=list)
-    obj_v: list[float] = field(default_factory=list)
-    obj_a: list[float] = field(default_factory=list)
-    contact: list[bool] = field(default_factory=list)
-
-    def append(self, t, ep, ev, ea, op, ov, oa, hit):
-        self.t.append(t)
-        self.ego_pos.append(ep)
-        self.ego_v.append(ev)
-        self.ego_a.append(ea)
-        self.obj_pos.append(op)
-        self.obj_v.append(ov)
-        self.obj_a.append(oa)
-        self.contact.append(hit)
+    t: list[float]
+    ego_pos: list[float]
+    ego_v: list[float]
+    ego_a: list[float]
+    obj_pos: list[float]
+    obj_v: list[float]
+    obj_a: list[float]
+    contact: list[bool]
 
     def __len__(self):
         return len(self.t)
@@ -94,10 +87,6 @@ class EvaluationResult:
     risk_class: ScenarioClass
     n_steps: int
     seed: int
-
-    @property
-    def crash(self) -> bool:
-        return self.risk_class is ScenarioClass.CRASH
 
 
 def _advance(pos: float, v: float, a: float, dt: float) -> tuple[float, float]:
@@ -177,10 +166,8 @@ def simulate(
     seed: int = 0,
 ) -> TrajectoryRecord:
     """Every step of one run, as a record; the per-step reference."""
-    rec = TrajectoryRecord()
-    for row in _steps(scenario, sim_config, ego_config, seed):
-        rec.append(*row)
-    return rec
+    rows = _steps(scenario, sim_config, ego_config, seed)
+    return TrajectoryRecord(*map(list, zip(*rows)))
 
 
 def evaluate(

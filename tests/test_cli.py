@@ -15,9 +15,9 @@ from scenariosearch.risk import ScenarioClass
 from scenariosearch.sim import EgoControllerConfig, SimConfig
 from scenariosearch.space import ConfigurationError
 
-TOY_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg")
-DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs",
-                           "default.cfg")
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+TOY_CFG = os.path.join(CONFIG_DIR, "toy.cfg")
+DEFAULT_CFG = os.path.join(CONFIG_DIR, "default.cfg")
 
 
 class TestLoadConfig:
@@ -35,6 +35,12 @@ class TestLoadConfig:
         assert cfg.seeds == (1, 2, 3, 4, 5)
         assert cfg.sa_params["alpha"] == 0.95
         assert cfg.ga_params["population"] == 100
+
+    @pytest.mark.parametrize("name, cardinality", [
+        ("toy.cfg", 36), ("default.cfg", 60_480), ("default_a10.cfg", 67_200),
+    ])
+    def test_shipped_config_loads(self, name, cardinality):
+        assert load_config(os.path.join(CONFIG_DIR, name)).space.cardinality == cardinality
 
     def test_missing_file(self):
         with pytest.raises(ConfigurationError):
@@ -83,12 +89,24 @@ class TestCliExitCodes:
         assert "config error" in capsys.readouterr().err
 
     def test_search_success(self, tmp_path, capsys):
-        rc = main(["search", "--config", TOY_CFG, "--algo", "alvns-sa",
-                   "--seed", "1", "--out", str(tmp_path)])
-        assert rc == EXIT_OK
-        out = capsys.readouterr().out
-        assert "36 evaluations" in out
-        assert (tmp_path / "alvns-sa_seed1.csv").exists()
+        # the log is filed under the algorithm and seed the command names
+        for algorithm in ALGORITHMS:
+            rc = main(["search", "--config", TOY_CFG, "--algo", algorithm,
+                       "--seed", "1", "--out", str(tmp_path)])
+            assert rc == EXIT_OK
+            out = capsys.readouterr().out
+            assert "36 evaluations" in out
+            assert (tmp_path / f"{algorithm}_seed1.csv").exists()
+        assert len(os.listdir(tmp_path)) == len(ALGORITHMS)
+
+    def test_search_negative_seed_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["search", "--config", TOY_CFG, "--algo", "random",
+                   "--seed", "-1", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "--seed" in err
+        assert not out.exists()
 
     def test_enumerate_prints_cardinality_first(self, tmp_path, capsys):
         rc = main(["enumerate", "--config", TOY_CFG, "--out", str(tmp_path),
@@ -140,8 +158,14 @@ class TestCliExitCodes:
         ("seeds = 1,2", "seeds = -1,2"),
         ("workers = 1", "workers = -3"),
         ("generations = 200", "generations = -5"),
+        ("sigma = 0", "sigma = nan"),
+        ("reaction_time = 0.5", "reaction_time = nan"),
+        ("t_max = 30", "t_max = inf"),
+        ("open_gap_exit = 20", "open_gap_exit = 0"),
     ], ids=["alpha", "population", "duplicate-seed", "duplicate-algorithm",
-            "negative-seed", "negative-workers", "negative-generations"])
+            "negative-seed", "negative-workers", "negative-generations",
+            "nan-sigma", "nan-reaction-time", "infinite-horizon",
+            "zero-open-gap-exit"])
     def test_rejected_value_exits_1_before_writing(self, tmp_path, capsys,
                                                    command, old, new):
         with open(TOY_CFG) as fh:

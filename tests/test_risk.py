@@ -81,10 +81,9 @@ class TestGttc:
 
 class TestGttcMin:
     def _record(self, rows):
-        rec = TrajectoryRecord()
-        for k, (ep, ev, op, ov, hit) in enumerate(rows):
-            rec.append(k * 0.1, ep, ev, 0.0, op, ov, 0.0, hit)
-        return rec
+        steps = [(k * 0.1, ep, ev, 0.0, op, ov, 0.0, hit)
+                 for k, (ep, ev, op, ov, hit) in enumerate(rows)]
+        return TrajectoryRecord(*map(list, zip(*steps)))
 
     def test_contact_is_zero(self):
         rec = self._record([(0, 10, 5, 8, False), (1, 10, 0.9, 8, True)])
@@ -107,7 +106,7 @@ class TestGttcMin:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            gttc_min(TrajectoryRecord())
+            gttc_min(TrajectoryRecord(*([] for _ in range(8))))
 
 
 class TestClassify:
