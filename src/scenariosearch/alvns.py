@@ -16,7 +16,7 @@ from . import operators as ops
 from .engine import BudgetedEvaluator, InvariantError, RunResult, capped
 from .rng import make_generator
 from .sim import EvaluationResult
-from .space import ContinuousPoint, Scenario, ScenarioSpace
+from .space import ContinuousPoint, Scenario, ScenarioSpace, require_finite
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 < self.t_end < self.t_begin:
             raise ValueError("need 0 < t_end < t_begin")
         if not 0.0 < self.alpha < 1.0:

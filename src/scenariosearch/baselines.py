@@ -14,7 +14,7 @@ from .alvns import SearchConfig, run_alvns_sa
 from .engine import BudgetedEvaluator, InvariantError, RunResult, capped
 from .rng import make_generator
 from .sim import EvaluationResult
-from .space import ContinuousPoint, Scenario, ScenarioSpace
+from .space import ContinuousPoint, Scenario, ScenarioSpace, require_finite
 
 # Offset added to the inverted fitness so roulette stays defined when all
 # individuals share the worst value.
@@ -51,6 +51,7 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.population < 2:
             raise ValueError("population must be >= 2")
         if self.generations < 0:

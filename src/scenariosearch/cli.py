@@ -64,11 +64,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "enumerate":
             config = load_config(args.config)
             print(f"{config.space.cardinality} scenarios")
-            oracle = brute_force_oracle(
-                config.space, config.sim, config.ego,
-                config.oracle_seed, args.workers or config.workers,
+            gttc = brute_force_oracle(
+                config.space, config.sim, config.ego, config.oracle_seed,
+                config.workers if args.workers is None else args.workers,
             )
-            path = write_oracle(config.space, oracle, args.out)
+            path = write_oracle(config.space, gttc, args.out)
             print(f"wrote {path}")
         elif args.command == "search":
             if args.seed < 0:

@@ -4,7 +4,6 @@ section per subsystem. See configs/default.cfg for the documented schema."""
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field, fields
 
 from .alvns import SearchConfig
@@ -75,16 +74,14 @@ def _check_keys(parser: configparser.ConfigParser, section: str, known) -> None:
 
 def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
     """Every field of the section's dataclass: each given key converted with
-    the type of the field's default and required to be finite, the default
-    for each omitted one."""
+    the type of the field's default, the default for each omitted one. The
+    dataclass itself rejects a value that is out of range or not finite."""
     values = {f.name: f.default for f in fields(DATACLASS_SECTIONS[section])
               if f.name not in ("budget", "seed")}
     if parser.has_section(section):
         _check_keys(parser, section, values)
         for key, text in parser[section].items():
             values[key] = type(values[key])(text)
-            if not math.isfinite(values[key]):
-                raise ConfigurationError(f"[{section}] {key}: {text!r} is not finite")
     return values
 
 

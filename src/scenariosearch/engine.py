@@ -116,7 +116,6 @@ class BudgetedEvaluator:
     ):
         if not 1 <= budget <= space.cardinality:
             raise ValueError(f"budget {budget} must be in [1, {space.cardinality}]")
-        self.space = space
         self.archive = Archive(space)
         self._evaluator = evaluator
         self.budget = budget

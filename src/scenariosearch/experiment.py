@@ -15,8 +15,8 @@ from .alvns import run_alvns_sa
 from .config import ExperimentConfig
 from .engine import RunResult
 from .oracle import brute_force_oracle, oracle_classified_sets
-from .risk import ScenarioClass
-from .sim import EvaluationResult, evaluate
+from .risk import ScenarioClass, classify
+from .sim import evaluate
 
 LOG_HEADER = "iter,scenario_index,v_e,v_o,d,a,gttc_min,class,accepted,destroy_op,repair_op,T_c"
 ORACLE_HEADER = "scenario_index,v_e,v_o,d,a,gttc_min,class"
@@ -90,12 +90,11 @@ def write_log(result: RunResult, out_dir: str, algorithm: str, seed: int) -> str
     return path
 
 
-def write_oracle(space, oracle: list[EvaluationResult], out_dir: str) -> str:
+def write_oracle(space, gttc: list[float], out_dir: str) -> str:
     lines = [ORACLE_HEADER]
-    for res in oracle:
-        s = space.index_to_scenario(res.scenario_index)
-        lines.append(",".join([str(res.scenario_index), *map(fmt, s.coords),
-                               fmt(res.gttc_min), res.risk_class.label]))
+    for i, g in enumerate(gttc):
+        coords = space.index_to_scenario(i).coords
+        lines.append(",".join([str(i), *map(fmt, coords), fmt(g), classify(g).label]))
     path = os.path.join(out_dir, "oracle.csv")
     atomic_write(path, lines)
     return path
@@ -105,11 +104,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict[RunKey, RunRe
     """Run every (algorithm, seed) pair plus the ground-truth oracle, write the
     full CSV bundle into out_dir and return the runs."""
     os.makedirs(out_dir, exist_ok=True)
-    oracle = brute_force_oracle(
+    gttc = brute_force_oracle(
         config.space, config.sim, config.ego, config.oracle_seed, config.workers
     )
-    write_oracle(config.space, oracle, out_dir)
-    oracle_sets = oracle_classified_sets(oracle)
+    write_oracle(config.space, gttc, out_dir)
+    oracle_sets = oracle_classified_sets(gttc)
 
     runs = {}
     for algorithm in config.algorithms:

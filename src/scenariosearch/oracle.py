@@ -1,6 +1,6 @@
-"""Brute-force ground truth: evaluate every grid scenario once.
+"""Brute-force ground truth: the GTTC_min of every grid scenario, by flat index.
 
-Per-scenario seeding makes each result independent of evaluation order, so
+Per-scenario seeding makes each value independent of evaluation order, so
 the map is identical for any worker count.
 """
 
@@ -10,7 +10,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .metrics import ClassifiedSets, classified_sets
-from .sim import EgoControllerConfig, EvaluationResult, SimConfig, evaluate
+from .risk import classify
+from .sim import EgoControllerConfig, SimConfig, evaluate
 from .space import ConfigurationError, ScenarioSpace
 
 _CHUNK = 2048
@@ -30,9 +31,9 @@ def _evaluate_range(
     run_seed: int,
     start: int,
     stop: int,
-) -> list[EvaluationResult]:
+) -> list[float]:
     return [
-        evaluate(space.index_to_scenario(i), sim_config, ego_config, run_seed)
+        evaluate(space.index_to_scenario(i), sim_config, ego_config, run_seed).gttc_min
         for i in range(start, stop)
     ]
 
@@ -43,14 +44,14 @@ def brute_force_oracle(
     ego_config: EgoControllerConfig,
     run_seed: int,
     workers: int = 0,
-) -> list[EvaluationResult]:
-    """Full classification map, indexed by flat scenario index."""
+) -> list[float]:
+    """GTTC_min of every scenario, indexed by flat scenario index."""
     n = space.cardinality
     workers = resolve_workers(workers)
     if workers == 1 or n <= _CHUNK:
         return _evaluate_range(space, sim_config, ego_config, run_seed, 0, n)
     bounds = list(range(0, n, _CHUNK)) + [n]
-    results: list[EvaluationResult] = []
+    gttc: list[float] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_evaluate_range, space, sim_config, ego_config,
@@ -58,9 +59,9 @@ def brute_force_oracle(
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         for fut in futures:  # submission order keeps the map index-sorted
-            results.extend(fut.result())
-    return results
+            gttc.extend(fut.result())
+    return gttc
 
 
-def oracle_classified_sets(oracle: list[EvaluationResult]) -> ClassifiedSets:
-    return classified_sets((r.risk_class, r.scenario_index) for r in oracle)
+def oracle_classified_sets(gttc: list[float]) -> ClassifiedSets:
+    return classified_sets((classify(g), i) for i, g in enumerate(gttc))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .risk import INF, ScenarioClass, classify
 from .rng import make_generator, scenario_seed
-from .space import Scenario
+from .space import Scenario, require_finite
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class SimConfig:
     open_gap_exit: int = 20
 
     def __post_init__(self):
+        require_finite(self)
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.t_max < self.dt:
@@ -56,6 +57,7 @@ class EgoControllerConfig:
     min_gap_trigger: float = 5.0
 
     def __post_init__(self):
+        require_finite(self)
         if min(self.reaction_time, self.ttc_trigger, self.min_gap_trigger) < 0:
             raise ValueError("controller parameters must be nonnegative")
         if self.max_brake <= 0.0:
@@ -82,11 +84,9 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    scenario_index: int
     gttc_min: float
     risk_class: ScenarioClass
     n_steps: int
-    seed: int
 
 
 def _advance(pos: float, v: float, a: float, dt: float) -> tuple[float, float]:
@@ -196,10 +196,4 @@ def evaluate(
             g = gap / closing
             if g < best:
                 best = g
-    return EvaluationResult(
-        scenario_index=scenario.index,
-        gttc_min=best,
-        risk_class=classify(best),
-        n_steps=n_steps,
-        seed=seed,
-    )
+    return EvaluationResult(gttc_min=best, risk_class=classify(best), n_steps=n_steps)

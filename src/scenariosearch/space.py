@@ -23,6 +23,13 @@ class ConfigurationError(ValueError):
     """Raised for invalid parameter specs or experiment configs."""
 
 
+def require_finite(config) -> None:
+    """Reject a config dataclass with a NaN or infinite float field, by name."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     """One grid axis: values are start + k*step for k in [0, levels).

@@ -1,11 +1,12 @@
 import csv
 import gc
+import math
 import os
 import warnings
 
 import pytest
 
-from scenariosearch import experiment
+from scenariosearch import experiment, oracle
 from scenariosearch.alvns import SearchConfig
 from scenariosearch.baselines import GAConfig
 from scenariosearch.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -72,6 +73,21 @@ class TestLoadConfig:
         assert cfg.search_config(3) == SearchConfig(budget=10, seed=3)
         assert cfg.ga_config(3) == GAConfig(budget=10, seed=3)
 
+    @pytest.mark.parametrize("cls, name, value", [
+        (SimConfig, "t_max", math.inf),
+        (SimConfig, "sigma", math.nan),
+        (SimConfig, "dt", -math.inf),
+        (EgoControllerConfig, "reaction_time", math.nan),
+        (EgoControllerConfig, "max_brake", math.inf),
+        (SearchConfig, "t_begin", math.inf),
+        (SearchConfig, "t_end", math.nan),
+        (GAConfig, "population", math.inf),
+    ])
+    def test_dataclass_rejects_non_finite_field(self, cls, name, value):
+        # built in Python, not through load_config
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            cls(**{name: value})
+
     def test_budget_over_cardinality(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("[space]\nv_e = 9.0:0.5:2\nv_o = 5.5:0.5:2\n"
@@ -118,6 +134,20 @@ class TestCliExitCodes:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 36
         assert [int(r["scenario_index"]) for r in rows] == list(range(36))
+
+    def test_enumerate_workers_flag_zero_overrides_config(self, tmp_path,
+                                                          monkeypatch):
+        # toy.cfg sets workers = 1; the flag's 0 (one per CPU) must reach the oracle
+        seen = []
+
+        def resolve_workers(workers):
+            seen.append(workers)
+            return 1
+
+        monkeypatch.setattr(oracle, "resolve_workers", resolve_workers)
+        assert main(["enumerate", "--config", TOY_CFG, "--out", str(tmp_path),
+                     "--workers", "0"]) == EXIT_OK
+        assert seen == [0]
 
     def test_enumerate_negative_workers_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -195,7 +195,6 @@ def assert_matches_reference(s, sim_config, ego_config, run_seed):
     assert res.gttc_min.hex() == float(ref).hex()
     assert res.risk_class is classify(ref)
     assert res.n_steps == len(rec)
-    assert res.seed == scenario_seed(run_seed, s.index)
     return res
 
 
