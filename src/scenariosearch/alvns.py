@@ -37,6 +37,8 @@ class SearchConfig:
             raise ValueError("alpha must be in (0, 1)")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must be in (0, 1]")
+        if self.rejection_threshold < 0:
+            raise ValueError("rejection_threshold must be >= 0")
 
 
 def vns_repair(

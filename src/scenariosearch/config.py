@@ -4,42 +4,57 @@ section per subsystem. See configs/default.cfg for the documented schema."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 
 from .alvns import SearchConfig
 from .baselines import GAConfig
+from .oracle import resolve_workers
 from .sim import EgoControllerConfig, SimConfig
 from .space import PARAM_NAMES, ConfigurationError, ParamSpec, ScenarioSpace, build_space
 
 ALGORITHMS = ("alvns-sa", "alns-sa", "ga", "random")
-RUN_KEYS = ("algorithms", "seeds", "budget", "oracle_seed", "workers")
-# Sections read through a dataclass; budget and seed come from [run].
-DATACLASS_SECTIONS = {
-    "sim": SimConfig,
-    "ego": EgoControllerConfig,
-    "alvns_sa": SearchConfig,
-    "ga": GAConfig,
-}
+SECTIONS = ("space", "run", "sim", "ego", "alvns_sa", "ga")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The grid, the simulator, the searches' hyperparameters and the [run]
+    facts. The [run] rules are checked here, so a config built in Python or
+    by dataclasses.replace is rejected just as a config file is."""
+
     space: ScenarioSpace
-    sim: SimConfig
-    ego: EgoControllerConfig
-    algorithms: tuple[str, ...]
-    seeds: tuple[int, ...]
-    budget: int
+    sim: SimConfig = SimConfig()
+    ego: EgoControllerConfig = EgoControllerConfig()
+    search: SearchConfig = SearchConfig()
+    ga: GAConfig = GAConfig()
+    algorithms: tuple[str, ...] = ALGORITHMS
+    seeds: tuple[int, ...] = (1,)
+    budget: int = 11_000
     oracle_seed: int = 0
     workers: int = 0
-    sa_params: dict = field(default_factory=dict)
-    ga_params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for algorithm in self.algorithms:
+            if algorithm not in ALGORITHMS:
+                raise ConfigurationError(f"[run] algorithms: unknown {algorithm!r}")
+        for name, values in (("algorithms", self.algorithms), ("seeds", self.seeds)):
+            if not values:
+                raise ConfigurationError(f"[run] {name}: at least one is required")
+            if len(set(values)) < len(values):
+                raise ConfigurationError(f"[run] {name}: duplicate entries in {values}")
+        for seed in (*self.seeds, self.oracle_seed):
+            if seed < 0:
+                raise ConfigurationError(f"[run] negative seed {seed}")
+        if not 1 <= self.budget <= self.space.cardinality:
+            raise ConfigurationError(
+                f"[run] budget {self.budget} must be in [1, {self.space.cardinality}]")
+        resolve_workers(self.workers)
 
     def search_config(self, seed: int) -> SearchConfig:
-        return SearchConfig(budget=self.budget, seed=seed, **self.sa_params)
+        return replace(self.search, budget=self.budget, seed=seed)
 
     def ga_config(self, seed: int) -> GAConfig:
-        return GAConfig(budget=self.budget, seed=seed, **self.ga_params)
+        return replace(self.ga, budget=self.budget, seed=seed)
 
 
 def _parse_axis(name: str, text: str) -> ParamSpec:
@@ -55,14 +70,13 @@ def _parse_axis(name: str, text: str) -> ParamSpec:
 
 def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigurationError(f"config file not found: {path}")
     try:
         return _build(parser)
+    except ConfigurationError:
+        raise
     except (configparser.Error, KeyError, ValueError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
         raise ConfigurationError(f"invalid config {path}: {exc}") from exc
 
 
@@ -72,70 +86,42 @@ def _check_keys(parser: configparser.ConfigParser, section: str, known) -> None:
         raise ConfigurationError(f"[{section}] unknown key(s): {', '.join(unknown)}")
 
 
-def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
-    """Every field of the section's dataclass: each given key converted with
-    the type of the field's default, the default for each omitted one. The
-    dataclass itself rejects a value that is out of range or not finite."""
-    values = {f.name: f.default for f in fields(DATACLASS_SECTIONS[section])
-              if f.name not in ("budget", "seed")}
+def _convert(default, text: str):
+    """text as the type of a field's default; a tuple is comma-separated."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(s.strip()) for s in text.split(",") if s.strip())
+    return type(default)(text)
+
+
+def _read_section(parser: configparser.ConfigParser, section: str, cls, **given):
+    """cls built from the section. Its keys are the fields of cls not given
+    here; an omitted key keeps the field's default. cls itself rejects a
+    value that is out of range or not finite."""
+    defaults = {f.name: f.default for f in fields(cls) if f.name not in given}
     if parser.has_section(section):
-        _check_keys(parser, section, values)
-        for key, text in parser[section].items():
-            values[key] = type(values[key])(text)
-    return values
+        _check_keys(parser, section, defaults)
+        given.update((key, _convert(defaults[key], text))
+                     for key, text in parser[section].items())
+    return cls(**given)
 
 
 def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
-    unknown = [s for s in parser.sections()
-               if s not in ("space", "run", *DATACLASS_SECTIONS)]
+    unknown = [s for s in parser.sections() if s not in SECTIONS]
     if unknown:
         raise ConfigurationError(f"unknown section(s): {', '.join(unknown)}")
+    missing = [s for s in ("space", "run") if not parser.has_section(s)]
+    if missing:
+        raise ConfigurationError(f"missing section(s): {', '.join(missing)}")
 
     _check_keys(parser, "space", PARAM_NAMES)
-    space_sec = parser["space"]
-    specs = [_parse_axis(name, space_sec[name]) for name in PARAM_NAMES]
-    space = build_space(specs)
-
-    _check_keys(parser, "run", RUN_KEYS)
-    run_sec = parser["run"]
-    algorithms = tuple(
-        a.strip() for a in run_sec.get("algorithms", ",".join(ALGORITHMS)).split(",")
-        if a.strip()
-    )
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {algo!r}")
-    if not algorithms:
-        raise ConfigurationError("at least one algorithm must be enabled")
-    seeds = tuple(int(s) for s in run_sec.get("seeds", "1").split(",") if s.strip())
-    if not seeds:
-        raise ConfigurationError("at least one seed is required")
-    if min(seeds) < 0:
-        raise ConfigurationError(f"[run] seeds: negative seed {min(seeds)}")
-    for name, values in (("algorithm", algorithms), ("seed", seeds)):
-        if len(set(values)) < len(values):
-            raise ConfigurationError(f"[run] {name}s: duplicate entries in {values}")
-    budget = int(run_sec.get("budget", 11000))
-    if not 1 <= budget <= space.cardinality:
-        raise ConfigurationError(
-            f"budget {budget} must be in [1, {space.cardinality}]")
-
-    workers = int(run_sec.get("workers", 0))
-    if workers < 0:
-        raise ConfigurationError(f"[run] workers: {workers} is negative (0 = one per CPU)")
-    config = ExperimentConfig(
-        space=space,
-        sim=SimConfig(**_read_section(parser, "sim")),
-        ego=EgoControllerConfig(**_read_section(parser, "ego")),
-        algorithms=algorithms,
-        seeds=seeds,
-        budget=budget,
-        oracle_seed=int(run_sec.get("oracle_seed", 0)),
-        workers=workers,
-        sa_params=_read_section(parser, "alvns_sa"),
-        ga_params=_read_section(parser, "ga"),
-    )
-    # build the search configs once, so that a bad value fails at load
-    config.search_config(seeds[0])
-    config.ga_config(seeds[0])
-    return config
+    space = build_space([_parse_axis(name, parser["space"][name])
+                         for name in PARAM_NAMES])
+    # a search's budget and seed come from [run], per run, so its section
+    # does not take them
+    search, ga = (_read_section(parser, section, cls, budget=cls.budget, seed=cls.seed)
+                  for section, cls in (("alvns_sa", SearchConfig), ("ga", GAConfig)))
+    return _read_section(
+        parser, "run", ExperimentConfig, space=space,
+        sim=_read_section(parser, "sim", SimConfig),
+        ego=_read_section(parser, "ego", EgoControllerConfig),
+        search=search, ga=ga)

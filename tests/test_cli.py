@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import math
 import os
@@ -34,8 +35,8 @@ class TestLoadConfig:
         assert cfg.space.cardinality == 60_480
         assert cfg.budget == 11_000
         assert cfg.seeds == (1, 2, 3, 4, 5)
-        assert cfg.sa_params["alpha"] == 0.95
-        assert cfg.ga_params["population"] == 100
+        assert cfg.search.alpha == 0.95
+        assert cfg.ga.population == 100
 
     @pytest.mark.parametrize("name, cardinality", [
         ("toy.cfg", 36), ("default.cfg", 60_480), ("default_a10.cfg", 67_200),
@@ -87,6 +88,30 @@ class TestLoadConfig:
         # built in Python, not through load_config
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             cls(**{name: value})
+
+    @pytest.mark.parametrize("bad", [
+        {"seeds": (1, 1)}, {"seeds": ()}, {"seeds": (-1,)}, {"oracle_seed": -1},
+        {"algorithms": ()}, {"algorithms": ("tabu",)}, {"budget": 0},
+        {"budget": 37}, {"workers": -1},
+    ], ids=str)
+    def test_experiment_config_checks_run_itself(self, bad):
+        # built by dataclasses.replace, not through load_config
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(load_config(TOY_CFG), **bad)
+
+    def test_replaced_budget_reaches_every_search(self):
+        cfg = dataclasses.replace(load_config(TOY_CFG), budget=7)
+        # toy.cfg's [alvns_sa] holds SearchConfig's defaults
+        assert cfg.search_config(3) == SearchConfig(budget=7, seed=3)
+        assert cfg.ga_config(3) == GAConfig(population=6, generations=200,
+                                            budget=7, seed=3)
+
+    def test_missing_run_section(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text("[space]\nv_e = 9.0:0.5:2\nv_o = 5.5:0.5:2\n"
+                     "d = 13.5:1.0:2\na = -0.05:-0.2:2\n")
+        with pytest.raises(ConfigurationError, match="missing section"):
+            load_config(str(p))
 
     def test_budget_over_cardinality(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -192,10 +217,13 @@ class TestCliExitCodes:
         ("reaction_time = 0.5", "reaction_time = nan"),
         ("t_max = 30", "t_max = inf"),
         ("open_gap_exit = 20", "open_gap_exit = 0"),
+        ("rejection_threshold = 5", "rejection_threshold = -3"),
+        ("oracle_seed = 0", "oracle_seed = -1"),
     ], ids=["alpha", "population", "duplicate-seed", "duplicate-algorithm",
             "negative-seed", "negative-workers", "negative-generations",
             "nan-sigma", "nan-reaction-time", "infinite-horizon",
-            "zero-open-gap-exit"])
+            "zero-open-gap-exit", "negative-rejection-threshold",
+            "negative-oracle-seed"])
     def test_rejected_value_exits_1_before_writing(self, tmp_path, capsys,
                                                    command, old, new):
         with open(TOY_CFG) as fh:
@@ -206,8 +234,8 @@ class TestCliExitCodes:
         out = tmp_path / "out"
         argv = [command, "--config", str(p), "--out", str(out)]
         if command == "search":
-            argv += ["--algo", "alvns-sa" if "alpha" in new else "ga",
-                     "--seed", "1"]
+            algorithm = "alvns-sa" if new.startswith(("alpha", "rejection")) else "ga"
+            argv += ["--algo", algorithm, "--seed", "1"]
         assert main(argv) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
