@@ -33,7 +33,10 @@ class Archive:
     def __init__(self, space: ScenarioSpace):
         self.space = space
         self.tested = np.zeros(space.cardinality, dtype=bool)
-        self._grid = self.tested.reshape(space.shape)
+        # 0.0 where untested, INF where tested; add() is its only writer
+        self._penalty = np.zeros(space.shape)
+        # scratch for full-grid distances; no query returns a view of it
+        self._buf = np.empty(space.shape)
         self._flat = np.arange(space.cardinality).reshape(space.shape)
         self.count = 0
 
@@ -44,18 +47,31 @@ class Archive:
         if self.tested[idx]:
             raise InvariantError(f"scenario {idx} was already tested")
         self.tested[idx] = True
+        self._penalty.flat[idx] = INF
         self.count += 1
 
     def _dist2(self, point: ContinuousPoint, block: tuple[slice, ...]) -> np.ndarray:
         """Squared step-normalized distances from point to every cell of the
-        grid block, +inf where the cell is tested, raveled in flat-index order."""
+        grid block, +inf where the cell is tested, raveled in flat-index order.
+
+        The axis terms are summed in axis order 0..n-1 and the penalty is
+        added last: x + 0.0 == x and x + inf == inf, so an untested cell's
+        distance is its plain axis sum, bit for bit, and every sort and
+        argmin over it picks the same cell as a masked sum would."""
         axes = zip(self.space.axis_values, self.space.scales, point, block)
+        last = len(block) - 1
         dist2 = 0.0
         for axis, (values, scale, p, s) in enumerate(axes):
             # shape (n, 1, ..., 1) broadcasts the axis against the later ones
             term = ((values[s] - p) / scale) ** 2
-            dist2 = dist2 + term.reshape((-1,) + (1,) * (len(block) - 1 - axis))
-        return np.where(self._grid[block], INF, dist2).ravel()
+            term = term.reshape((-1,) + (1,) * (last - axis))
+            if axis < last:
+                dist2 = dist2 + term
+        penalty = self._penalty[block]
+        out = self._buf if penalty.shape == self._buf.shape else None
+        dist2 = np.add(dist2, term, out=out)
+        dist2 += penalty
+        return dist2.ravel()
 
     def untested_in_box(self, point: ContinuousPoint, j: int) -> np.ndarray:
         """Flat indices of untested scenarios in the jth box around point,

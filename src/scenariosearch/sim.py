@@ -29,6 +29,9 @@ from .risk import INF, ScenarioClass, classify
 from .rng import make_generator, scenario_seed
 from .space import Scenario, require_finite
 
+# Noise values drawn before the first step; runs average 44-59 steps.
+NOISE_HEAD = 64
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -106,13 +109,17 @@ def _steps(
     """The step loop. Yields one row per step,
     (t, ego_p, ego_v, ego_a, obj_p, obj_v, obj_a, contact), the contact row last.
 
-    Noise is drawn once as Python floats, so the loop does no numpy-scalar
-    arithmetic; the values are those of the same PCG64 stream.
+    Noise is drawn as Python floats, so the loop does no numpy-scalar
+    arithmetic. The first NOISE_HEAD values are drawn up front and the rest
+    of the horizon only when a run reaches step NOISE_HEAD; the two draws
+    give the same values as one draw of n_max from the PCG64 stream.
     """
     dt = sim_config.dt
+    sigma = sim_config.sigma
     n_max = int(round(sim_config.t_max / dt))
-    if sim_config.sigma > 0.0:
-        noise = make_generator(seed).normal(0.0, sim_config.sigma, n_max).tolist()
+    if sigma > 0.0:
+        gen = make_generator(seed)
+        noise = gen.normal(0.0, sigma, min(n_max, NOISE_HEAD)).tolist()
     else:
         noise = [0.0] * n_max
     ttc_trigger = ego_config.ttc_trigger
@@ -127,6 +134,8 @@ def _steps(
     open_steps = 0
 
     for k in range(n_max):
+        if k == len(noise):
+            noise += gen.normal(0.0, sigma, n_max - k).tolist()
         t = k * dt
         if not latched:
             gap = obj_p - ego_p

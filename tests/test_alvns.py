@@ -1,6 +1,7 @@
 import functools
 import os
 
+import numpy as np
 import pytest
 
 from scenariosearch import operators as ops
@@ -306,13 +307,50 @@ class TestArchive:
             point = tuple(
                 float(rng.uniform(spec.lo, spec.hi)) for spec in TOY.specs
             )
-            got = archive.nearest_untested(point)
-            dists = {
-                k: TOY.distance(point, TOY.index_to_scenario(k).coords)
-                for k in range(TOY.cardinality) if k not in archive
-            }
-            best = min(dists.values())
-            assert dists[got] == pytest.approx(best)
+            untested = [k for k in range(TOY.cardinality) if k not in archive]
+            assert archive.nearest_untested(point) == min(
+                untested, key=lambda k: (dist2(TOY, point, k), k))
+
+    @pytest.mark.parametrize("space", [TOY, FLAT_A, DEFAULT_SPACE])
+    def test_queries_follow_interleaved_adds(self, space):
+        # the reference keeps its own tested set, so a query that reads a
+        # stale penalty grid picks a cell the reference has already removed;
+        # the small grids are queried after every add, up to cardinality - 1
+        rng = make_generator(17)
+        archive = Archive(space)
+        tested = set()
+        size = space.cardinality
+        fills = range(1, size) if size < 100 else (1, size - 500, size - 3, size - 1)
+        for n, k in enumerate(rng.permutation(size)[:-1], 1):
+            archive.add(int(k))
+            tested.add(int(k))
+            if n not in fills:
+                continue
+            points = [space.index_to_scenario(int(k)).coords,
+                      sample_point(space, rng),
+                      sample_point(space, rng, margin=2.0)]
+            untested = [i for i in range(size) if i not in tested]
+            for point in points:
+                key = lambda i: (dist2(space, point, i), i)
+                assert archive.nearest_untested(point) == min(untested, key=key)
+                for j in (1, 2):
+                    box = {s.index for s in space.neighborhood(point, j)} - tested
+                    assert (archive.untested_in_box(point, j).tolist()
+                            == sorted(box, key=key))
+
+    def test_box_result_outlives_later_queries(self):
+        # full-grid queries share one scratch buffer; no result may alias it
+        rng = make_generator(18)
+        space = DEFAULT_SPACE
+        archive = Archive(space)
+        for k in rng.permutation(space.cardinality)[: space.cardinality // 2]:
+            archive.add(int(k))
+        point = sample_point(space, rng)
+        got = archive.untested_in_box(point, space.max_ring)
+        kept = got.copy()
+        archive.nearest_untested(sample_point(space, rng))
+        archive.untested_in_box(sample_point(space, rng), space.max_ring)
+        assert np.array_equal(got, kept)
 
     def test_budget_above_cardinality_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
+import dataclasses
 import functools
+import hashlib
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -15,7 +18,9 @@ from scenariosearch.baselines import (
     run_ga,
     run_random,
 )
+from scenariosearch.config import load_config
 from scenariosearch.engine import Archive, InvariantError
+from scenariosearch.experiment import log_lines, make_evaluator
 from scenariosearch.rng import make_generator
 from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
 from scenariosearch.space import ParamSpec, build_space
@@ -27,6 +32,11 @@ TOY = build_space([
     ParamSpec("a", -0.05, -1.6, 2),
 ])
 QUIET = SimConfig(sigma=0.0)
+DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
+# sha256 of the log lines of GA on configs/default.cfg, seed 101, budget
+# 2,000, sigma 0.1; about 1,500 of its children are redirected to the
+# nearest untested scenario, so moving any redirect changes it
+GA_LOG_SHA256 = "05fe0fe7dda66f0bc6f07d8b9fad297a97051b3eef015cdddff4b89e2eeb570e"
 
 
 def toy_evaluator(run_seed=0):
@@ -117,6 +127,14 @@ class TestGA:
             sigma = math.sqrt(n * p * (1 - p)) if p > 0 else 1.0
             assert abs(c - n * p) < 4 * sigma
         assert counts[2] == 0 or probs[2] > 0  # worst gets only eps mass
+
+    def test_redirect_picks_golden(self):
+        config = dataclasses.replace(load_config(DEFAULT_CFG), budget=2000)
+        assert config.sim.sigma == 0.1
+        res = run_ga(config.ga_config(101), config.space,
+                     make_evaluator(config, 101))
+        text = "\n".join(log_lines(res))
+        assert hashlib.sha256(text.encode()).hexdigest() == GA_LOG_SHA256
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scenariosearch import sim
 from scenariosearch.config import load_config
 from scenariosearch.risk import INF, ScenarioClass, classify, gttc_min
-from scenariosearch.rng import scenario_seed
+from scenariosearch.rng import make_generator, scenario_seed
 from scenariosearch.sim import (
     EgoControllerConfig,
     SimConfig,
@@ -99,6 +99,20 @@ class TestSimulate:
         s = scenario(16.5, 5.5, 13.5, -1.65)
         rec = simulate(s, QUIET, NO_BRAKE, seed=0)
         assert rec.contact[-1] and not any(rec.contact[:-1])
+
+    def test_noise_is_one_stream_past_the_first_draw(self):
+        # the lead brakes at min(a + noise[k], 0) while it moves, where noise
+        # is one draw of the whole horizon from the run's stream
+        s = scenario(16.0, 15.0, 20.5, -0.05)
+        config = SimConfig(sigma=0.1)
+        rec = simulate(s, config, NO_BRAKE, seed=5)
+        n_max = int(round(config.t_max / config.dt))
+        noise = make_generator(5).normal(0.0, config.sigma, n_max).tolist()
+        moving = [k for k in range(len(rec))
+                  if rec.obj_v[k] > 0.0 and not rec.contact[k]]
+        assert len(moving) > sim.NOISE_HEAD
+        assert [rec.obj_a[k] for k in moving] == [
+            min(s.a + noise[k], 0.0) for k in moving]
 
     def test_time_axis(self):
         rec = simulate(SPACE.index_to_scenario(42), QUIET,
@@ -256,6 +270,9 @@ GOLDEN = [
     (52684, 0.1, 1, "0x1.b18054af54696p+0", 77),
     (2336, 0.0, 1, "inf", 20),
     (29647, 0.1, 101, "inf", 20),
+    # the lead still moves at step 64, the first step past the noise
+    # drawn up front (sim.NOISE_HEAD)
+    (91, 0.1, 101, "0x1.d6ad511ea9a4ap+0", 65),
 ]
 
 
