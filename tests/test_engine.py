@@ -2,7 +2,6 @@
 retest, an exact budget, and evaluator failures recorded, not raised."""
 
 import functools
-import math
 import os
 import subprocess
 import sys
@@ -11,7 +10,6 @@ import numpy as np
 import pytest
 
 import scenariosearch
-from scenariosearch import sim
 from scenariosearch.alvns import SearchConfig, run_alvns_sa
 from scenariosearch.baselines import GAConfig, run_alns_sa, run_ga, run_random
 from scenariosearch.engine import Archive, EvaluationFailure, InvariantError
@@ -56,10 +54,14 @@ def test_evaluator_failure_recorded(algorithm, n):
     assert res.archive_order == calls[: n - 1] and res.n_evaluations == n - 1
 
 
-def test_diverged_state_recorded_as_failure(monkeypatch):
-    monkeypatch.setattr(sim, "_advance", lambda pos, v, a, dt: (math.inf, v))
-    res = run_random(20, TOY, GOOD, seed=1)
-    first = int(make_generator(1).permutation(TOY.cardinality)[0])
+def test_diverged_state_recorded_as_failure():
+    # every scenario of this grid overflows the positions within a few steps
+    huge = build_space([ParamSpec("v_e", 1e308, -1e307, 2),
+                        ParamSpec("v_o", 1e308, -1e307, 2),
+                        ParamSpec("d", 1e308, -1e307, 2),
+                        ParamSpec("a", -0.05, -1.0, 2)])
+    res = run_random(10, huge, GOOD, seed=1)
+    first = int(make_generator(1).permutation(huge.cardinality)[0])
     assert res.failure == EvaluationFailure(first, "FloatingPointError",
                                             "state diverged")
     assert res.n_evaluations == 0

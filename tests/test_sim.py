@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -176,11 +177,17 @@ class TestEvaluate:
                     for i in reversed(indices)]
         assert forward == list(reversed(backward))
 
-    def test_diverged_state_raises(self, monkeypatch):
-        # an explicit exception, so it holds under python -O too
-        monkeypatch.setattr(sim, "_advance", lambda pos, v, a, dt: (INF, v))
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_diverged_state_raises(self, sigma):
+        # positions near the float maximum overflow within a few steps; an
+        # explicit exception, so it holds under python -O too
+        huge = build_space([ParamSpec("v_e", 1e308, 0.0, 1),
+                            ParamSpec("v_o", 1e308, 0.0, 1),
+                            ParamSpec("d", 1e308, 0.0, 1),
+                            ParamSpec("a", -0.05, 0.0, 1)])
         with pytest.raises(FloatingPointError, match="state diverged"):
-            evaluate(SPACE.index_to_scenario(0), QUIET, EgoControllerConfig(), 0)
+            evaluate(huge.index_to_scenario(0), SimConfig(sigma=sigma),
+                     EgoControllerConfig(), 0)
 
     def test_builds_no_trajectory(self, monkeypatch):
         # the hot path keeps a running minimum; only simulate() records rows
@@ -256,9 +263,9 @@ class TestEvaluateMatchesSimulate:
         assert res.gttc_min == INF
 
 
-# (index, sigma, run_seed) -> float.hex(gttc_min), n_steps, computed with the
-# trajectory-recording evaluate; any drift in the step loop's arithmetic
-# changes them.
+# (index, sigma, run_seed) -> float.hex(gttc_min), n_steps, computed with an
+# earlier, generator-based form of the step loop; any drift in the loop's
+# arithmetic changes them.
 GOLDEN = [
     (53467, 0.0, 1, "0x0.0p+0", 20),
     (49697, 0.1, 1, "0x0.0p+0", 27),
@@ -273,6 +280,20 @@ GOLDEN = [
     # the lead still moves at step 64, the first step past the noise
     # drawn up front (sim.NOISE_HEAD)
     (91, 0.1, 101, "0x1.d6ad511ea9a4ap+0", 65),
+    # the lead's noisy deceleration a + noise > 0 is clamped at 0 before the
+    # minimum; the first run reaches the horizon, the second the open-gap exit
+    (29133, 0.1, 101, "0x1.179a8bcc197e7p+1", 300),
+    (47736, 0.1, 101, "0x1.f08551df23e94p+0", 61),
+    # open-gap exit after a finite GTTC, with and without the ego's stopping
+    # sub-step
+    (13, 0.0, 101, "0x1.bca632ee936fep+0", 44),
+    (47736, 0.0, 101, "0x1.e6e700b93016ep+0", 62),
+    # both vehicles stop within a step (the stopping sub-step of each)
+    (26, 0.0, 101, "0x1.8bcf00cb099acp+0", 34),
+    (26, 0.1, 101, "0x1.8e061ca7b646cp+0", 34),
+    # contact
+    (41587, 0.1, 101, "0x0.0p+0", 19),
+    (49166, 0.0, 101, "0x0.0p+0", 19),
 ]
 
 
@@ -283,3 +304,21 @@ def test_golden_values(index, sigma, run_seed, gttc_hex, n_steps):
     assert type(res.gttc_min) is float
     assert res.gttc_min.hex() == gttc_hex
     assert res.n_steps == n_steps
+
+
+# sha256 of "index gttc_hex n_steps" lines over every 7th default-grid
+# scenario at run seed 101, computed with the same earlier step loop as GOLDEN.
+GRID_DIGESTS = {
+    0.0: "dc654714ecd7dbc599aef6acea0619605e94001f7eecbbeff9233c02b964b84f",
+    0.1: "f03dbb4ba8a42632f765daed9963e0414351c3ac5c858a356699c424b1ae0117",
+}
+
+
+@pytest.mark.parametrize("sigma", sorted(GRID_DIGESTS))
+def test_grid_digest(sigma):
+    config, ego = SimConfig(sigma=sigma), EgoControllerConfig()
+    digest = hashlib.sha256()
+    for idx in range(0, SPACE.cardinality, 7):
+        res = evaluate(SPACE.index_to_scenario(idx), config, ego, 101)
+        digest.update(f"{idx} {res.gttc_min.hex()} {res.n_steps}\n".encode())
+    assert digest.hexdigest() == GRID_DIGESTS[sigma]
