@@ -11,18 +11,16 @@ step the constant-acceleration kinematics are integrated exactly (including
 the stopping sub-step), so noise-free runs match closed-form trajectories to
 machine precision.
 
-The dynamics live in one step loop, the generator _steps(), which yields each
-step's state. It has two consumers: simulate() records every row in a
-TrajectoryRecord and is the per-step reference for tests and tracing;
-evaluate(), the hot path of every search and the oracle, keeps only a running
-minimum of the GTTC and a step count, and equals gttc_min(simulate(...))
-bit for bit.
+The dynamics live in one plain step loop, _run(), which keeps a running
+minimum of the GTTC and a step count, and records each step's row only when
+asked. It has two callers: evaluate(), the hot path of every search and the
+oracle, which records nothing; and simulate(), which records every row in a
+TrajectoryRecord and is the per-step reference for tests and tracing.
+evaluate() equals gttc_min(simulate(...)) bit for bit.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .risk import INF, ScenarioClass, classify
@@ -92,27 +90,19 @@ class EvaluationResult:
     n_steps: int
 
 
-def _advance(pos: float, v: float, a: float, dt: float) -> tuple[float, float]:
-    """Exact constant-acceleration step; the vehicle never reverses."""
-    if a < 0.0 and v + a * dt < 0.0:
-        t_stop = -v / a
-        return pos + v * t_stop + 0.5 * a * t_stop * t_stop, 0.0
-    return pos + v * dt + 0.5 * a * dt * dt, v + a * dt
-
-
-def _steps(
+def _run(
     scenario: Scenario,
     sim_config: SimConfig,
     ego_config: EgoControllerConfig,
     seed: int,
-) -> Iterator[tuple[float, float, float, float, float, float, float, bool]]:
-    """The step loop. Yields one row per step,
+    rows: list | None = None,
+) -> tuple[float, int]:
+    """The step loop: (gttc_min, n_steps), the minimum taken over each step's
+    starting state and 0 on contact. A rows list gets each step's row,
     (t, ego_p, ego_v, ego_a, obj_p, obj_v, obj_a, contact), the contact row last.
 
-    Noise is drawn as Python floats, so the loop does no numpy-scalar
-    arithmetic. The first NOISE_HEAD values are drawn up front and the rest
-    of the horizon only when a run reaches step NOISE_HEAD; the two draws
-    give the same values as one draw of n_max from the PCG64 stream.
+    Noise is Python floats: NOISE_HEAD values up front and the rest of the
+    horizon only at step NOISE_HEAD, the same values as one draw of n_max.
     """
     dt = sim_config.dt
     sigma = sim_config.sigma
@@ -125,47 +115,63 @@ def _steps(
     ttc_trigger = ego_config.ttc_trigger
     min_gap = ego_config.min_gap_trigger
     max_brake = ego_config.max_brake
+    open_gap_exit = sim_config.open_gap_exit
     a = scenario.a
 
     ego_p, ego_v = 0.0, scenario.v_e
     obj_p, obj_v = scenario.d, scenario.v_o
+    gap = obj_p - ego_p
     latched = False
-    brake_at = math.inf  # time from which the latched brake is applied
+    brake_at = INF  # time from which the latched brake is applied
     open_steps = 0
+    best = INF
 
     for k in range(n_max):
         if k == len(noise):
             noise += gen.normal(0.0, sigma, n_max - k).tolist()
         t = k * dt
-        if not latched:
-            gap = obj_p - ego_p
-            closing = ego_v - obj_v
-            ttc = gap / closing if closing > 0.0 else math.inf
-            if ttc < ttc_trigger or gap < min_gap:
-                latched = True
-                brake_at = t + ego_config.reaction_time - 1e-12
+        closing = ego_v - obj_v
+        ttc = gap / closing if closing > 0.0 else INF
+        if gap > 0.0 and ttc < best:
+            best = ttc
+        if not latched and (ttc < ttc_trigger or gap < min_gap):
+            latched = True
+            brake_at = t + ego_config.reaction_time - 1e-12
         ego_a = -max_brake if (t >= brake_at and ego_v > 0.0) else 0.0
-        obj_a = min(a + noise[k], 0.0) if obj_v > 0.0 else 0.0
+        obj_a = a + noise[k] if obj_v > 0.0 else 0.0
+        if obj_a > 0.0:  # min(obj_a, 0.0), NaN kept
+            obj_a = 0.0
+        if rows is not None:
+            rows.append((t, ego_p, ego_v, ego_a, obj_p, obj_v, obj_a, False))
 
-        yield t, ego_p, ego_v, ego_a, obj_p, obj_v, obj_a, False
-
-        ego_p, ego_v = _advance(ego_p, ego_v, ego_a, dt)
-        obj_p, obj_v = _advance(obj_p, obj_v, obj_a, dt)
-        if not (math.isfinite(ego_p) and math.isfinite(obj_p)):
+        # exact constant-acceleration step; a vehicle stops, never reverses
+        if ego_a < 0.0 and ego_v + ego_a * dt < 0.0:
+            t_stop = -ego_v / ego_a
+            ego_p, ego_v = ego_p + ego_v * t_stop + 0.5 * ego_a * t_stop * t_stop, 0.0
+        else:
+            ego_p, ego_v = ego_p + ego_v * dt + 0.5 * ego_a * dt * dt, ego_v + ego_a * dt
+        if obj_a < 0.0 and obj_v + obj_a * dt < 0.0:
+            t_stop = -obj_v / obj_a
+            obj_p, obj_v = obj_p + obj_v * t_stop + 0.5 * obj_a * t_stop * t_stop, 0.0
+        else:
+            obj_p, obj_v = obj_p + obj_v * dt + 0.5 * obj_a * dt * dt, obj_v + obj_a * dt
+        if not (-INF < ego_p < INF and -INF < obj_p < INF):
             raise FloatingPointError("state diverged")
 
-        new_gap = obj_p - ego_p
-        if new_gap <= 0.0:
-            yield (k + 1) * dt, ego_p, ego_v, 0.0, obj_p, obj_v, 0.0, True
-            return
+        gap = obj_p - ego_p
+        if gap <= 0.0:
+            if rows is not None:
+                rows.append(((k + 1) * dt, ego_p, ego_v, 0.0, obj_p, obj_v, 0.0, True))
+            return 0.0, k + 2
         if ego_v == 0.0 and obj_v == 0.0:
-            return
-        if ego_v <= obj_v and new_gap >= min_gap:
+            return best, k + 1
+        if ego_v <= obj_v and gap >= min_gap:
             open_steps += 1
-            if open_steps >= sim_config.open_gap_exit:
-                return
+            if open_steps >= open_gap_exit:
+                return best, k + 1
         else:
             open_steps = 0
+    return best, n_max
 
 
 def simulate(
@@ -175,7 +181,8 @@ def simulate(
     seed: int = 0,
 ) -> TrajectoryRecord:
     """Every step of one run, as a record; the per-step reference."""
-    rows = _steps(scenario, sim_config, ego_config, seed)
+    rows = []
+    _run(scenario, sim_config, ego_config, seed, rows)
     return TrajectoryRecord(*map(list, zip(*rows)))
 
 
@@ -187,22 +194,9 @@ def evaluate(
 ) -> EvaluationResult:
     """One counterfactual test; deterministic in (scenario, configs, run_seed).
 
-    Equal to gttc_min(simulate(...)) and len(simulate(...)), computed as a
-    running minimum over the rows without keeping them.
+    Equal to gttc_min(simulate(...)) and len(simulate(...)), from the same
+    step loop run without recording rows.
     """
-    seed = scenario_seed(run_seed, scenario.index)
-    best = INF
-    n_steps = 0
-    for _, ego_p, ego_v, _, obj_p, obj_v, _, contact in _steps(
-            scenario, sim_config, ego_config, seed):
-        n_steps += 1
-        if contact:
-            best = 0.0
-            break
-        gap = obj_p - ego_p
-        closing = ego_v - obj_v
-        if gap > 0.0 and closing > 0.0:
-            g = gap / closing
-            if g < best:
-                best = g
+    best, n_steps = _run(scenario, sim_config, ego_config,
+                         scenario_seed(run_seed, scenario.index))
     return EvaluationResult(gttc_min=best, risk_class=classify(best), n_steps=n_steps)
