@@ -256,6 +256,16 @@ class TestEvaluateMatchesSimulate:
         assert res.gttc_min == 0.0 and res.n_steps == 2
 
     @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_minimum_on_first_step(self, sigma):
+        # braking hard from step 0 makes the time gap grow at once, so the
+        # starting state holds the minimum
+        ego = EgoControllerConfig(reaction_time=0.0, max_brake=10.0,
+                                  ttc_trigger=10.0, min_gap_trigger=0.0)
+        s = scenario(16.5, 5.5, 20.5, -1.65)
+        res = assert_matches_reference(s, SimConfig(sigma=sigma), ego, 3)
+        assert res.gttc_min == s.d / (s.v_e - s.v_o)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
     def test_never_closing(self, sigma):
         res = assert_matches_reference(scenario(9.0, 15.5, 32.5, -0.05),
                                        SimConfig(sigma=sigma),
