@@ -8,12 +8,12 @@ operator weights from the outcome.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable
 
-
 from . import operators as ops
-from .engine import BudgetedEvaluator, InvariantError, RunResult, capped
+from .engine import BudgetedEvaluator, InvariantError, RunResult, RunStopped, capped
 from .rng import make_generator
 from .sim import EvaluationResult
 from .space import ContinuousPoint, Scenario, ScenarioSpace, require_finite
@@ -73,40 +73,37 @@ def run_alvns_sa(
     drv = BudgetedEvaluator(space, evaluator, config.budget)
     bank = ops.init_bank()
 
-    current = space.index_to_scenario(int(rng.integers(space.cardinality)))
-    cur_res = drv.evaluate(current)
-    if cur_res is None:
-        return drv.result(bank)
-    t_current = config.t_begin
-    drv.log(current, cur_res, accepted=True, t_current=t_current)
-    f_current = capped(cur_res.gttc_min)
-    rejections = 0
+    with contextlib.suppress(RunStopped):
+        current = space.index_to_scenario(int(rng.integers(space.cardinality)))
+        cur_res = drv.evaluate(current)
+        t_current = config.t_begin
+        drv.log(current, cur_res, accepted=True, t_current=t_current)
+        f_current = capped(cur_res.gttc_min)
+        rejections = 0
 
-    # the budget never exceeds the grid, so repairs always find an untested scenario
-    while drv.remaining > 0:
-        destroy_id = ops.select_operator(bank, "destroy", rng)
-        frac = ops.xi_fraction(cur_res.risk_class, drv.count / drv.budget,
-                               rejections > config.rejection_threshold)
-        xi = ops.sample_xi(space, (destroy_id - 1) // 2, frac, rng)
-        point = ops.destroy(current, destroy_id, xi, space)
-        candidate, repair_id = repair(point, space, drv.archive, bank, rng)
-        res = drv.evaluate(candidate)
-        if res is None:
-            break
-        f_new = capped(res.gttc_min)
-        accepted = ops.sa_accept(f_new - f_current, t_current, rng)
-        theta = ops.score_delta(cur_res.gttc_min, res.gttc_min, accepted)
-        drv.log(candidate, res, accepted, destroy_id, repair_id, t_current)
+        # the budget never exceeds the grid, so repairs always find an untested scenario
+        while drv.remaining > 0:
+            destroy_id = ops.select_operator(bank, "destroy", rng)
+            frac = ops.xi_fraction(cur_res.risk_class, drv.count / drv.budget,
+                                   rejections > config.rejection_threshold)
+            xi = ops.sample_xi(space, (destroy_id - 1) // 2, frac, rng)
+            point = ops.destroy(current, destroy_id, xi, space)
+            candidate, repair_id = repair(point, space, drv.archive, bank, rng)
+            res = drv.evaluate(candidate)
+            f_new = capped(res.gttc_min)
+            accepted = ops.sa_accept(f_new - f_current, t_current, rng)
+            theta = ops.score_delta(cur_res.gttc_min, res.gttc_min, accepted)
+            drv.log(candidate, res, accepted, destroy_id, repair_id, t_current)
 
-        if accepted:
-            current, cur_res, f_current = candidate, res, f_new
-            rejections = 0
-        else:
-            rejections += 1
+            if accepted:
+                current, cur_res, f_current = candidate, res, f_new
+                rejections = 0
+            else:
+                rejections += 1
 
-        ops.update_bank(bank, destroy_id, repair_id, theta, config.rho)
-        t_current *= config.alpha
-        if t_current <= config.t_end:
-            t_current = config.t_begin
+            ops.update_bank(bank, destroy_id, repair_id, theta, config.rho)
+            t_current *= config.alpha
+            if t_current <= config.t_end:
+                t_current = config.t_begin
 
     return drv.result(bank)

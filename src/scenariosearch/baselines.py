@@ -4,6 +4,7 @@ honor the shared no-retest archive contract."""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import operators as ops
 from .alvns import SearchConfig, run_alvns_sa
-from .engine import BudgetedEvaluator, InvariantError, RunResult, capped
+from .engine import BudgetedEvaluator, InvariantError, RunResult, RunStopped, capped
 from .rng import make_generator
 from .sim import EvaluationResult
 from .space import ContinuousPoint, Scenario, ScenarioSpace, require_finite
@@ -31,13 +32,10 @@ def run_random(
     indices, evaluated up to the budget."""
     rng = make_generator(seed)
     drv = BudgetedEvaluator(space, evaluator, budget)
-    order = rng.permutation(space.cardinality)[: drv.budget]
-    for idx in order:
-        scenario = space.index_to_scenario(int(idx))
-        res = drv.evaluate(scenario)
-        if res is None:
-            break
-        drv.log(scenario, res, accepted=True)
+    with contextlib.suppress(RunStopped):
+        for idx in rng.permutation(space.cardinality)[: drv.budget]:
+            scenario = space.index_to_scenario(int(idx))
+            drv.log(scenario, drv.evaluate(scenario), accepted=True)
     return drv.result()
 
 
@@ -80,58 +78,51 @@ def run_ga(
     drv = BudgetedEvaluator(space, evaluator, config.budget)
     fitness: dict[int, float] = {}
 
-    def eval_index(idx: int) -> bool:
+    def eval_index(idx: int) -> None:
         scenario = space.index_to_scenario(idx)
         res = drv.evaluate(scenario)
-        if res is None:
-            return False
         drv.log(scenario, res, accepted=True)
         fitness[idx] = capped(res.gttc_min)
-        return True
-
-    population: list[int] = []
-    for idx in rng.permutation(space.cardinality):
-        if drv.remaining == 0 or len(population) == config.population:
-            break
-        if not eval_index(int(idx)):
-            break
-        population.append(int(idx))
 
     generation = 0
-    while drv.remaining > 0 and generation < config.generations and drv.failure is None:
-        fvals = np.array([fitness[i] for i in population])
-        weights = fvals.max() - fvals + FITNESS_EPS
+    with contextlib.suppress(RunStopped):
+        size = min(config.population, drv.budget)
+        # the whole permutation is drawn, whatever the population size
+        population = rng.permutation(space.cardinality)[:size].tolist()
+        for idx in population:
+            eval_index(idx)
 
-        children: list[np.ndarray] = []
-        for i in range(len(population)):
-            mate = population[ops.roulette(weights, rng)]
-            if rng.random() < config.crossover:
-                g1 = np.array(space.index_to_levels(population[i]))
-                g2 = np.array(space.index_to_levels(mate))
-                mask = rng.random(4) < 0.5
-                children.append(np.where(mask, g1, g2))
-                children.append(np.where(mask, g2, g1))
-        for genes in children:
-            if rng.random() < config.mutation:
-                gene = int(rng.integers(4))
-                genes[gene] = int(rng.integers(space.shape[gene]))
+        while drv.remaining > 0 and generation < config.generations:
+            generation += 1  # first, so a generation that fails still counts
+            fvals = np.array([fitness[i] for i in population])
+            weights = fvals.max() - fvals + FITNESS_EPS
 
-        newcomers: list[int] = []
-        for genes in children:
-            if drv.remaining == 0:
-                break
-            idx = space.levels_to_index(tuple(int(g) for g in genes))
-            if idx in drv.archive:
-                # untested scenarios remain: the budget never exceeds the grid
-                idx = drv.archive.nearest_untested(space.index_to_scenario(idx).coords)
-            if not eval_index(idx):
-                break
-            newcomers.append(idx)
+            children: list[np.ndarray] = []
+            for i in range(len(population)):
+                mate = population[ops.roulette(weights, rng)]
+                if rng.random() < config.crossover:
+                    g1 = np.array(space.index_to_levels(population[i]))
+                    g2 = np.array(space.index_to_levels(mate))
+                    mask = rng.random(4) < 0.5
+                    children.append(np.where(mask, g1, g2))
+                    children.append(np.where(mask, g2, g1))
+            for genes in children:
+                if rng.random() < config.mutation:
+                    gene = int(rng.integers(4))
+                    genes[gene] = int(rng.integers(space.shape[gene]))
 
-        pool = sorted(set(population) | set(newcomers),
-                      key=lambda i: (fitness[i], i))
-        population = pool[: config.population]
-        generation += 1
+            newcomers: list[int] = []
+            for genes in children[: drv.remaining]:
+                idx = space.levels_to_index(tuple(int(g) for g in genes))
+                if idx in drv.archive:
+                    # untested scenarios remain: the budget never exceeds the grid
+                    idx = drv.archive.nearest_untested(space.index_to_scenario(idx).coords)
+                eval_index(idx)
+                newcomers.append(idx)
+
+            pool = sorted(set(population) | set(newcomers),
+                          key=lambda i: (fitness[i], i))
+            population = pool[: config.population]
 
     return drv.result(generations=generation)
 

@@ -27,6 +27,11 @@ class InvariantError(RuntimeError):
     failure."""
 
 
+class RunStopped(Exception):
+    """The evaluator failed and `BudgetedEvaluator.failure` records it: the
+    campaign ends, and its driver returns the rows logged so far."""
+
+
 class Archive:
     """Set of tested scenario indices with nearest-untested queries."""
 
@@ -122,7 +127,9 @@ class EvaluationFailure:
 
 class BudgetedEvaluator:
     """Wraps the scenario evaluator with the no-retest archive, the budget,
-    the evaluation log and the capture of evaluator failures."""
+    the evaluation log and the capture of evaluator failures. A driver runs
+    its campaign under `contextlib.suppress(RunStopped)` and then returns
+    `result()`, so an evaluator failure ends every search in this one place."""
 
     def __init__(
         self,
@@ -146,10 +153,11 @@ class BudgetedEvaluator:
     def remaining(self) -> int:
         return self.budget - self.count
 
-    def evaluate(self, scenario: Scenario) -> EvaluationResult | None:
-        """The evaluator's result, or None after recording its exception in
-        `failure`; the caller then ends the run. A budget overrun or a retest
-        raises InvariantError."""
+    def evaluate(self, scenario: Scenario) -> EvaluationResult:
+        """The evaluator's result. If the evaluator raises, its exception is
+        recorded in `failure` and RunStopped is raised from it, for the
+        driver to suppress. A budget overrun or a retest raises
+        InvariantError before the evaluator is called."""
         if self.remaining <= 0:
             raise InvariantError("evaluation budget exhausted")
         self.archive.add(scenario.index)
@@ -157,7 +165,7 @@ class BudgetedEvaluator:
             return self._evaluator(scenario)
         except Exception as exc:  # the evaluator is a black box
             self.failure = EvaluationFailure(scenario.index, type(exc).__name__, str(exc))
-            return None
+            raise RunStopped(str(self.failure)) from exc
 
     def log(self, scenario: Scenario, res: EvaluationResult, accepted: bool,
             destroy_op: int | None = None, repair_op: int | None = None,

@@ -121,8 +121,7 @@ def _run(
     ego_p, ego_v = 0.0, scenario.v_e
     obj_p, obj_v = scenario.d, scenario.v_o
     gap = obj_p - ego_p
-    latched = False
-    brake_at = INF  # time from which the latched brake is applied
+    brake_at = INF  # time from which the latched brake is applied; INF until latched
     open_steps = 0
     best = INF
 
@@ -134,8 +133,7 @@ def _run(
         ttc = gap / closing if closing > 0.0 else INF
         if gap > 0.0 and ttc < best:
             best = ttc
-        if not latched and (ttc < ttc_trigger or gap < min_gap):
-            latched = True
+        if brake_at == INF and (ttc < ttc_trigger or gap < min_gap):
             brake_at = t + ego_config.reaction_time - 1e-12
         ego_a = -max_brake if (t >= brake_at and ego_v > 0.0) else 0.0
         obj_a = a + noise[k] if obj_v > 0.0 else 0.0

@@ -2,7 +2,7 @@
 
 A concrete scenario is a 4-tuple (ego speed, objective speed, initial gap,
 mean objective deceleration) lying on a regular grid. All search algorithms
-share this module's indexing, neighborhoods and step-normalized distances.
+share this module's indexing, neighborhoods and step-normalized scales.
 """
 
 from __future__ import annotations
@@ -163,24 +163,11 @@ class ScenarioSpace:
     def scenario_from_levels(self, levels: tuple[int, ...]) -> Scenario:
         return self.index_to_scenario(self.levels_to_index(levels))
 
-    def clamp(self, point) -> ContinuousPoint:
-        coords = point.coords if isinstance(point, Scenario) else tuple(point)
+    def clamp(self, point: ContinuousPoint) -> ContinuousPoint:
         return tuple(
             min(max(float(v), spec.lo), spec.hi)
-            for spec, v in zip(self.specs, coords)
+            for spec, v in zip(self.specs, point)
         )
-
-    def distance(self, x, y) -> float:
-        """Euclidean distance in step-normalized coordinates."""
-        xc = x.coords if isinstance(x, Scenario) else x
-        yc = y.coords if isinstance(y, Scenario) else y
-        acc = 0.0
-        for spec, a, b in zip(self.specs, xc, yc):
-            if spec.gamma > 0:
-                acc += ((a - b) / spec.gamma) ** 2
-            elif a != b:
-                acc += float("inf")
-        return math.sqrt(acc)
 
     def box_windows(self, point: ContinuousPoint, j: int) -> list[tuple[int, int]]:
         """Per-axis inclusive level windows for the jth neighborhood box."""

@@ -1,5 +1,6 @@
 """The campaign driver's contract, shared by every search algorithm: no
-retest, an exact budget, and evaluator failures recorded, not raised."""
+retest, an exact budget, and evaluator failures recorded, not raised out of
+the driver."""
 
 import functools
 import os
@@ -12,7 +13,8 @@ import pytest
 import scenariosearch
 from scenariosearch.alvns import SearchConfig, run_alvns_sa
 from scenariosearch.baselines import GAConfig, run_alns_sa, run_ga, run_random
-from scenariosearch.engine import Archive, EvaluationFailure, InvariantError
+from scenariosearch.engine import (Archive, BudgetedEvaluator, EvaluationFailure,
+                                   InvariantError, RunStopped)
 from scenariosearch.rng import make_generator
 from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
 from scenariosearch.space import ParamSpec, build_space
@@ -34,24 +36,47 @@ RUNNERS = {
 }
 
 
-@pytest.mark.parametrize("n", [1, 4, 10])
-@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
-def test_evaluator_failure_recorded(algorithm, n):
-    calls = []
-
+def failing_at(n, calls):
+    """GOOD, except that the nth call raises; calls records every index."""
     def flaky(scenario):
         calls.append(scenario.index)
         if len(calls) == n:
             raise RuntimeError("simulator crashed")
         return GOOD(scenario)
+    return flaky
 
-    res = RUNNERS[algorithm](flaky)
+
+# n = 7 is GA's first child and n = 20 the budget's last evaluation
+@pytest.mark.parametrize("n", [1, 4, 7, 10, 20])
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_evaluator_failure_recorded(algorithm, n):
+    calls = []
+    res = RUNNERS[algorithm](failing_at(n, calls))
     assert res.invalid
     assert res.failure == EvaluationFailure(calls[n - 1], "RuntimeError",
                                             "simulator crashed")
     assert str(res.failure) == f"scenario {calls[n - 1]}: RuntimeError: simulator crashed"
     assert len(calls) == n  # the run stops at the failure
     assert res.archive_order == calls[: n - 1] and res.n_evaluations == n - 1
+
+
+# population 6 and 2 children per crossover: a generation that fails counts
+@pytest.mark.parametrize("n, generations", [(1, 0), (4, 0), (7, 1), (10, 1), (20, 2)])
+def test_ga_failed_run_counts_its_generations(n, generations):
+    res = RUNNERS["ga"](failing_at(n, []))
+    assert res.extras == {"generations": generations}
+
+
+def test_evaluate_raises_run_stopped_from_the_evaluator_error():
+    def broken(scenario):
+        raise ValueError("bad input")
+
+    drv = BudgetedEvaluator(TOY, broken, budget=2)
+    with pytest.raises(RunStopped) as info:
+        drv.evaluate(TOY.index_to_scenario(3))
+    assert isinstance(info.value.__cause__, ValueError)
+    assert drv.failure == EvaluationFailure(3, "ValueError", "bad input")
+    assert 3 in drv.archive and drv.rows == []
 
 
 def test_diverged_state_recorded_as_failure():
@@ -74,6 +99,16 @@ def test_ga_redirect_to_tested_scenario_raises(monkeypatch):
                         lambda self, point: int(np.flatnonzero(self.tested)[0]))
     with pytest.raises(InvariantError, match="already tested"):
         run_ga(GAConfig(population=6, budget=36, seed=1), TOY, GOOD)
+
+
+def test_alvns_repair_to_tested_scenario_raises():
+    # the same for a repair: the driver's suppress(RunStopped) swallows no
+    # InvariantError
+    def first_tested(point, space, archive, bank, rng):
+        return space.index_to_scenario(int(np.flatnonzero(archive.tested)[0])), 1
+
+    with pytest.raises(InvariantError, match="^scenario 17 was already tested$"):
+        run_alvns_sa(SearchConfig(budget=20, seed=1), TOY, GOOD, repair=first_tested)
 
 
 INVARIANTS_SNIPPET = """

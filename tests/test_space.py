@@ -139,36 +139,6 @@ class TestNeighborhood:
         assert inner <= outer
 
 
-class TestDistance:
-    def test_identity(self):
-        sp = DEFAULT_SPACE
-        s = sp.index_to_scenario(17)
-        assert sp.distance(s, s) == 0.0
-
-    def test_single_step(self):
-        sp = DEFAULT_SPACE
-        a = sp.index_to_scenario(0)
-        b = sp.snap((9.5, 5.5, 13.5, -0.05))
-        assert sp.distance(a, b) == pytest.approx(1.0)
-
-    def test_hand_computed(self):
-        sp = DEFAULT_SPACE
-        x = (9.0, 5.5, 13.5, -0.05)
-        y = (9.5, 6.0, 14.5, -0.25)
-        assert sp.distance(x, y) == pytest.approx(2.0)
-
-    @given(st.tuples(*(st.integers(0, 59) for _ in range(3))))
-    @settings(max_examples=200, deadline=None)
-    def test_metric_properties(self, idxs):
-        sp = toy_space()
-        pts = [sp.index_to_scenario(i % sp.cardinality) for i in idxs]
-        x, y, z = pts
-        dxy = sp.distance(x, y)
-        assert dxy == pytest.approx(sp.distance(y, x))
-        assert (dxy == 0.0) == (x.coords == y.coords)
-        assert dxy <= sp.distance(x, z) + sp.distance(z, y) + 1e-12
-
-
 class TestClamp:
     def test_in_bounds_unchanged(self):
         sp = DEFAULT_SPACE
