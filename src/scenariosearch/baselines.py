@@ -149,10 +149,10 @@ def alns_repair(
         flats = archive.untested_in_box(point, 1)
         if len(flats):
             return space.index_to_scenario(int(flats[rng.integers(len(flats))])), k
-    untested = np.flatnonzero(~archive.tested)
-    if len(untested) == 0:
+    untested = space.cardinality - archive.count
+    if untested == 0:
         raise InvariantError("every scenario has been tested")
-    return space.index_to_scenario(int(untested[rng.integers(len(untested))])), k
+    return space.index_to_scenario(archive.nth_untested(int(rng.integers(untested)))), k
 
 
 def run_alns_sa(

@@ -3,6 +3,7 @@ driver, per-evaluation logging and the run-result container."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,48 +34,54 @@ class RunStopped(Exception):
 
 
 class Archive:
-    """Set of tested scenario indices with nearest-untested queries."""
+    """Set of tested scenario indices with nearest-untested queries.
+
+    Its whole state is the penalty grid, 0.0 where a scenario is untested and
+    INF where tested, and the untested count of each row of the grid (a row
+    is one block of the last two axes), with count, the number tested.
+    add() is the only writer of all three."""
 
     def __init__(self, space: ScenarioSpace):
         self.space = space
-        self.tested = np.zeros(space.cardinality, dtype=bool)
-        # 0.0 where untested, INF where tested; add() is its only writer
         self._penalty = np.zeros(space.shape)
+        self._row_size = math.prod(space.shape[-2:])
+        self._row_untested = np.full(space.cardinality // self._row_size, self._row_size)
+        # per-axis value tables and distance divisors, as Python floats
+        self._axes = tuple(zip((s.values for s in space.specs), space.scales.tolist()))
         # scratch for full-grid distances; no query returns a view of it
         self._buf = np.empty(space.shape)
         self._flat = np.arange(space.cardinality).reshape(space.shape)
         self.count = 0
 
     def __contains__(self, idx: int) -> bool:
-        return bool(self.tested[idx])
+        return bool(self._penalty.flat[idx] == INF)
 
     def add(self, idx: int) -> None:
-        if self.tested[idx]:
+        if self._penalty.flat[idx] == INF:
             raise InvariantError(f"scenario {idx} was already tested")
-        self.tested[idx] = True
         self._penalty.flat[idx] = INF
+        self._row_untested[idx // self._row_size] -= 1
         self.count += 1
 
     def _dist2(self, point: ContinuousPoint, block: tuple[slice, ...]) -> np.ndarray:
         """Squared step-normalized distances from point to every cell of the
         grid block, +inf where the cell is tested, raveled in flat-index order.
 
-        The axis terms are summed in axis order 0..n-1 and the penalty is
-        added last: x + 0.0 == x and x + inf == inf, so an untested cell's
-        distance is its plain axis sum, bit for bit, and every sort and
-        argmin over it picks the same cell as a masked sum would."""
-        axes = zip(self.space.axis_values, self.space.scales, point, block)
-        last = len(block) - 1
-        dist2 = 0.0
-        for axis, (values, scale, p, s) in enumerate(axes):
-            # shape (n, 1, ..., 1) broadcasts the axis against the later ones
-            term = ((values[s] - p) / scale) ** 2
-            term = term.reshape((-1,) + (1,) * (last - axis))
-            if axis < last:
-                dist2 = dist2 + term
+        Each axis term is ((v - p) / scale) squared as x * x in Python floats,
+        which is what numpy's ** 2 computes. The terms are summed in axis
+        order 0..n-1 by outer adds and the penalty is added last: x + 0.0 == x
+        and x + inf == inf, so an untested cell's distance is its plain axis
+        sum, bit for bit, and every sort and argmin over it picks the same
+        cell as a masked sum would."""
+        terms = []
+        for (values, scale), p, s in zip(self._axes, point, block):
+            terms.append([(x := (v - p) / scale) * x for v in values[s]])
         penalty = self._penalty[block]
         out = self._buf if penalty.shape == self._buf.shape else None
-        dist2 = np.add(dist2, term, out=out)
+        dist2 = terms[0]
+        for term in terms[1:-1]:
+            dist2 = np.add.outer(dist2, term)
+        dist2 = np.add.outer(dist2, terms[-1], out=out)
         dist2 += penalty
         return dist2.ravel()
 
@@ -86,9 +93,9 @@ class Archive:
             return np.empty(0, dtype=np.int64)
         block = tuple(slice(lo, hi + 1) for lo, hi in windows)
         dist2 = self._dist2(point, block)
-        (untested,) = np.nonzero(dist2 < INF)
-        # a stable sort keeps flat-index order among equal distances
-        order = untested[np.argsort(dist2[untested], kind="stable")]
+        # INF sorts last, and a stable sort keeps flat-index order among
+        # equal distances, so the untested cells lead in the wanted order
+        order = dist2.argsort(kind="stable")[: np.count_nonzero(dist2 < INF)]
         return self._flat[block].ravel()[order]
 
     def nearest_untested(self, point: ContinuousPoint) -> int:
@@ -98,6 +105,18 @@ class Archive:
             raise InvariantError("every scenario has been tested")
         whole = (slice(None),) * len(self.space.shape)
         return int(np.argmin(self._dist2(point, whole)))
+
+    def nth_untested(self, n: int) -> int:
+        """Flat index of the nth untested scenario (0-based) in flat-index
+        order: np.flatnonzero(untested)[n], found from the row counts and a
+        scan of one row."""
+        if not 0 <= n < self.space.cardinality - self.count:
+            raise IndexError(f"no untested scenario number {n}")
+        ends = np.cumsum(self._row_untested)
+        row = int(np.searchsorted(ends, n, side="right"))
+        before = int(ends[row - 1]) if row else 0
+        cells = np.flatnonzero(self._penalty.reshape(-1, self._row_size)[row] == 0.0)
+        return row * self._row_size + int(cells[n - before])
 
 
 @dataclass(frozen=True)

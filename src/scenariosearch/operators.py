@@ -57,8 +57,8 @@ def roulette(weights: np.ndarray, rng) -> int:
         raise ValueError("roulette requires a positive total weight")
     u = rng.random() * total
     acc = 0.0
-    for i, w in enumerate(weights):
-        acc += float(w)
+    for i, w in enumerate(weights.tolist()):
+        acc += w
         if u < acc:
             return i
     return len(weights) - 1

@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import ceil, floor
 
 import numpy as np
 
@@ -61,15 +62,15 @@ class ParamSpec:
         """The axis table: the value of each level, start + k*step."""
         return tuple(self.start + k * self.step for k in range(self.levels))
 
-    @property
+    @cached_property
     def lo(self) -> float:
         return min(self.values)
 
-    @property
+    @cached_property
     def hi(self) -> float:
         return max(self.values)
 
-    @property
+    @cached_property
     def span(self) -> float:
         return self.hi - self.lo
 
@@ -78,18 +79,6 @@ class ParamSpec:
             return 0
         k = int(math.floor((v - self.start) / self.step + 0.5))
         return min(max(k, 0), self.levels - 1)
-
-    def level_window(self, center: float, radius: float) -> tuple[int, int]:
-        """Inclusive level range whose values lie in [center-radius, center+radius]."""
-        if self.levels == 1:
-            if abs(self.start - center) <= radius + EPS:
-                return (0, 0)
-            return (0, -1)
-        a = (center - radius - self.start) / self.step
-        b = (center + radius - self.start) / self.step
-        klo = math.ceil(min(a, b) - EPS)
-        khi = math.floor(max(a, b) + EPS)
-        return (max(klo, 0), min(khi, self.levels - 1))
 
 
 @dataclass(frozen=True)
@@ -169,10 +158,28 @@ class ScenarioSpace:
             for spec, v in zip(self.specs, point)
         )
 
+    @cached_property
+    def _window_axes(self) -> tuple[tuple[float, float, int, float], ...]:
+        """Per-axis (start, step, top level, gamma), as box_windows reads them."""
+        return tuple((s.start, s.step, s.levels - 1, s.gamma) for s in self.specs)
+
     def box_windows(self, point: ContinuousPoint, j: int) -> list[tuple[int, int]]:
-        """Per-axis inclusive level windows for the jth neighborhood box."""
-        return [spec.level_window(p, j * spec.gamma)
-                for spec, p in zip(self.specs, point)]
+        """Per-axis inclusive level windows for the jth neighborhood box: the
+        levels whose values lie within j steps of the point's coordinate (a
+        one-level axis: its value within EPS, else the empty window (0, -1))."""
+        windows = []
+        for (start, step, top, gamma), p in zip(self._window_axes, point):
+            radius = j * gamma
+            if top == 0:
+                windows.append((0, 0) if abs(start - p) <= radius + EPS else (0, -1))
+                continue
+            a = (p - radius - start) / step
+            b = (p + radius - start) / step
+            if step < 0.0:  # a descending axis maps the lower bound to the higher level
+                a, b = b, a
+            klo, khi = ceil(a - EPS), floor(b + EPS)
+            windows.append((klo if klo > 0 else 0, khi if khi < top else top))
+        return windows
 
     def neighborhood(self, point, j: int) -> list[Scenario]:
         """All grid scenarios within [point_i - j*step_i, point_i + j*step_i] per axis."""

@@ -3,12 +3,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenariosearch import operators as ops
 from scenariosearch.alvns import SearchConfig, run_alvns_sa, vns_repair
 from scenariosearch.config import load_config
 from scenariosearch.engine import Archive, BudgetedEvaluator, InvariantError
 from scenariosearch.experiment import log_lines
+from scenariosearch.risk import INF
 from scenariosearch.rng import make_generator
 from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
 from scenariosearch.space import ParamSpec, build_space
@@ -355,3 +358,92 @@ class TestArchive:
     def test_budget_above_cardinality_rejected(self):
         with pytest.raises(ValueError):
             BudgetedEvaluator(TOY, toy_evaluator(), budget=TOY.cardinality + 1)
+
+
+def dist2_reference(space, tested, point, block):
+    """Archive._dist2 as numpy ufuncs over the axis tables computed it: axis
+    terms ((v - p) / scale) ** 2 summed in axis order by broadcasting, then
+    a 0/INF penalty grid of the tested set added last."""
+    penalty = np.zeros(space.cardinality)
+    penalty[list(tested)] = INF
+    last = len(block) - 1
+    dist2 = 0.0
+    axes = zip(space.axis_values, space.scales, point, block)
+    for axis, (values, scale, p, s) in enumerate(axes):
+        term = ((values[s] - p) / scale) ** 2
+        dist2 = dist2 + term.reshape((-1,) + (1,) * (last - axis))
+    return (dist2 + penalty.reshape(space.shape)[block]).ravel()
+
+
+@st.composite
+def archive_points(draw):
+    """A grid with a seeded tested set, and a point on a level, off the grid
+    inside or outside its hull (off a one-level axis too), maybe clamped."""
+    space = draw(st.sampled_from((TOY, FLAT_A, DEFAULT_SPACE)))
+    point = []
+    for spec in space.specs:
+        if draw(st.booleans()):
+            point.append(draw(st.sampled_from(spec.values)))
+        else:
+            margin = 2.0 * (spec.gamma or 1.0)
+            point.append(draw(st.floats(spec.lo - margin, spec.hi + margin)))
+    if draw(st.booleans()):
+        point = space.clamp(point)
+    fill = draw(st.sampled_from((0.0, 0.3, 0.9)))
+    order = make_generator(draw(st.integers(0, 2**32 - 1))).permutation(space.cardinality)
+    return space, order[: int(fill * space.cardinality)].tolist(), tuple(point)
+
+
+class TestArchiveBits:
+    @given(archive_points())
+    @settings(max_examples=60, deadline=None)
+    def test_dist2_equals_numpy_reference(self, case):
+        space, tested, point = case
+        archive = Archive(space)
+        for k in tested:
+            archive.add(k)
+        blocks = [(slice(None),) * 4]
+        for j in (1, 2, space.max_ring):
+            windows = space.box_windows(point, j)
+            if all(lo <= hi for lo, hi in windows):
+                blocks.append(tuple(slice(lo, hi + 1) for lo, hi in windows))
+        for block in blocks:
+            got = archive._dist2(point, block).tolist()
+            expected = dist2_reference(space, tested, point, block).tolist()
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+    @given(st.sampled_from((TOY, FLAT_A)), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_nth_untested_follows_interleaved_adds(self, space, data):
+        order = data.draw(st.permutations(range(space.cardinality)))
+        archive = Archive(space)
+        untested = np.ones(space.cardinality, dtype=bool)
+        for k in order:
+            flats = np.flatnonzero(untested)
+            assert [archive.nth_untested(n) for n in range(len(flats))] == flats.tolist()
+            archive.add(k)
+            untested[k] = False
+        for n in (-1, 0):
+            with pytest.raises(IndexError):
+                archive.nth_untested(n)
+
+    def test_nth_untested_on_default_grid(self):
+        # first, last and random ranks, with rows of 180 cells emptied unevenly
+        rng = make_generator(19)
+        space = DEFAULT_SPACE
+        size = space.cardinality
+        archive = Archive(space)
+        untested = np.ones(size, dtype=bool)
+        fills = (0, 1, 1_000, size // 2, size - 500, size - 3, size - 1)
+        for n, k in enumerate(rng.permutation(size).tolist()):
+            if n in fills:
+                flats = np.flatnonzero(untested)
+                ranks = [0, len(flats) - 1] + rng.integers(len(flats), size=20).tolist()
+                for rank in ranks:
+                    assert archive.nth_untested(rank) == flats[rank]
+                with pytest.raises(IndexError):
+                    archive.nth_untested(len(flats))
+            archive.add(k)
+            untested[k] = False
+        with pytest.raises(IndexError):
+            archive.nth_untested(0)

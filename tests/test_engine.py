@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import scenariosearch
@@ -92,11 +91,15 @@ def test_diverged_state_recorded_as_failure():
     assert res.n_evaluations == 0
 
 
+def first_tested(archive) -> int:
+    """The smallest tested flat index: a retest stand-in for a broken query."""
+    return next(k for k in range(archive.space.cardinality) if k in archive)
+
+
 def test_ga_redirect_to_tested_scenario_raises(monkeypatch):
     # a redirect that breaks the no-retest contract is a driver bug, not an
     # evaluator failure: it must surface, not flag the run invalid
-    monkeypatch.setattr(Archive, "nearest_untested",
-                        lambda self, point: int(np.flatnonzero(self.tested)[0]))
+    monkeypatch.setattr(Archive, "nearest_untested", lambda self, point: first_tested(self))
     with pytest.raises(InvariantError, match="already tested"):
         run_ga(GAConfig(population=6, budget=36, seed=1), TOY, GOOD)
 
@@ -104,11 +107,11 @@ def test_ga_redirect_to_tested_scenario_raises(monkeypatch):
 def test_alvns_repair_to_tested_scenario_raises():
     # the same for a repair: the driver's suppress(RunStopped) swallows no
     # InvariantError
-    def first_tested(point, space, archive, bank, rng):
-        return space.index_to_scenario(int(np.flatnonzero(archive.tested)[0])), 1
+    def repair(point, space, archive, bank, rng):
+        return space.index_to_scenario(first_tested(archive)), 1
 
     with pytest.raises(InvariantError, match="^scenario 17 was already tested$"):
-        run_alvns_sa(SearchConfig(budget=20, seed=1), TOY, GOOD, repair=first_tested)
+        run_alvns_sa(SearchConfig(budget=20, seed=1), TOY, GOOD, repair=repair)
 
 
 INVARIANTS_SNIPPET = """

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenariosearch import operators as ops
 from scenariosearch.config import load_config
@@ -67,6 +69,67 @@ class TestSelectOperator:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             ops.roulette(np.zeros(3), make_generator(0))
+
+    @given(st.lists(st.floats(0.0, 1e6) | st.floats(0.0, 1e-6) | st.just(0.0),
+                    min_size=ops.N_DESTROY, max_size=ops.N_DESTROY),
+           st.lists(st.floats(1e-9, 1e6), min_size=ops.N_REPAIR, max_size=ops.N_REPAIR),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_roulette(self, destroy, repair, seed):
+        # the same operators from the same rng state, draw after draw
+        bank = ops.init_bank()
+        bank.destroy_weights[:] = destroy
+        bank.repair_weights[:] = repair
+        got, ref = make_generator(seed), make_generator(seed)
+        for _ in range(20):
+            if sum(destroy) > 0.0:
+                assert (ops.select_operator(bank, "destroy", got)
+                        == roulette_reference(bank.destroy_weights, ref) + 1)
+            assert (ops.select_operator(bank, "repair", got)
+                    == roulette_reference(bank.repair_weights, ref) + 1)
+
+    def test_total_is_numpy_sum(self):
+        # numpy sums 8 weights pairwise, to more than the left-to-right sum
+        # here; the top draw lands past every running total, so it picks the
+        # last operator, where a left-to-right total would give the first
+        weights = np.array([1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        assert float(weights.sum()) > sum(weights.tolist())
+        bank = ops.init_bank()
+        bank.destroy_weights[:] = weights
+        top = FixedDraw(1.0 - 2.0**-53)
+        assert ops.select_operator(bank, "destroy", top) == 8
+        assert roulette_reference(weights, top) + 1 == 8
+
+    @given(st.lists(st.floats(1e-6, 1e6), min_size=100, max_size=100),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_ga_width_roulette_unchanged(self, weights, seed):
+        weights = np.array(weights)
+        got, ref = make_generator(seed), make_generator(seed)
+        assert ([ops.roulette(weights, got) for _ in range(20)]
+                == [roulette_reference(weights, ref) for _ in range(20)])
+
+
+class FixedDraw:
+    """An rng stand-in whose every uniform draw is r."""
+
+    def __init__(self, r: float):
+        self.r = r
+
+    def random(self) -> float:
+        return self.r
+
+
+def roulette_reference(weights, rng) -> int:
+    """Roulette over numpy scalars, as it read before its loop took a list."""
+    total = float(weights.sum())
+    u = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += float(w)
+        if u < acc:
+            return i
+    return len(weights) - 1
 
 
 class TestSampleXi:

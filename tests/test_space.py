@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenariosearch.config import load_config
-from scenariosearch.space import ConfigurationError, ParamSpec, build_space
+from scenariosearch.space import EPS, ConfigurationError, ParamSpec, build_space
 
 DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
 DEFAULT_SPACE = load_config(DEFAULT_CFG).space
@@ -154,3 +154,77 @@ class TestClamp:
         clamped = sp.clamp((-5.0, 0.0, 0.0, -10.0))
         assert clamped == pytest.approx((9.0, 5.5, 13.5, -1.65))
         assert math.isclose(clamped[3], -1.65)
+
+
+def level_window_reference(spec, center, radius):
+    """The per-axis window rule as a ParamSpec method once computed it: the
+    inclusive level range whose values lie in [center - radius, center + radius]."""
+    if spec.levels == 1:
+        if abs(spec.start - center) <= radius + EPS:
+            return (0, 0)
+        return (0, -1)
+    a = (center - radius - spec.start) / spec.step
+    b = (center + radius - spec.start) / spec.step
+    klo = math.ceil(min(a, b) - EPS)
+    khi = math.floor(max(a, b) + EPS)
+    return (max(klo, 0), min(khi, spec.levels - 1))
+
+
+axis_specs = st.builds(
+    ParamSpec,
+    st.just("x"),
+    st.floats(-50.0, 50.0),
+    st.one_of(st.floats(0.01, 5.0), st.floats(-5.0, -0.01)),  # signed, as the deceleration axis
+    st.integers(1, 12),
+)
+
+
+@st.composite
+def spaces_and_points(draw):
+    """A random grid (one-level and negative-step axes included) and a point
+    on a level, off the grid inside or outside its hull, optionally clamped."""
+    space = build_space([draw(axis_specs) for _ in range(4)])
+    point = []
+    for spec in space.specs:
+        if draw(st.booleans()):
+            point.append(draw(st.sampled_from(spec.values)))
+        else:
+            margin = draw(st.sampled_from((0.0, 3.0))) * spec.gamma
+            point.append(draw(st.floats(spec.lo - margin, spec.hi + margin)))
+    if draw(st.booleans()):
+        point = space.clamp(point)
+    return space, tuple(point)
+
+
+class TestBoxWindows:
+    @given(spaces_and_points(), st.integers(1, 14))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_level_window_rule(self, space_point, j):
+        space, point = space_point
+        expected = [level_window_reference(spec, p, j * spec.gamma)
+                    for spec, p in zip(space.specs, point)]
+        assert space.box_windows(point, j) == expected
+
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    def test_default_grid_points(self, j):
+        # on-level, off-grid and clamped points of the published grid, whose
+        # deceleration axis runs downward
+        sp = DEFAULT_SPACE
+        rng = np.random.default_rng(j)
+        points = [sp.index_to_scenario(int(k)).coords
+                  for k in rng.integers(sp.cardinality, size=50)]
+        points += [tuple(rng.uniform(s.lo - 2 * s.gamma, s.hi + 2 * s.gamma)
+                         for s in sp.specs) for _ in range(50)]
+        points += [sp.clamp(p) for p in points[50:]]
+        for point in points:
+            expected = [level_window_reference(spec, p, j * spec.gamma)
+                        for spec, p in zip(sp.specs, point)]
+            assert sp.box_windows(point, j) == expected
+
+    def test_one_level_axis(self):
+        sp = build_space([ParamSpec("v_e", 9.0, 3.0, 3), ParamSpec("v_o", 5.5, 4.0, 4),
+                          ParamSpec("d", 13.5, 10.0, 3), ParamSpec("a", -0.05, 0.0, 1)])
+        assert sp.box_windows((9.0, 5.5, 13.5, -0.05), 1)[3] == (0, 0)
+        assert sp.box_windows((9.0, 5.5, 13.5, -0.05 + EPS / 2), 1)[3] == (0, 0)
+        assert sp.box_windows((9.0, 5.5, 13.5, -1.0), 1)[3] == (0, -1)
+
