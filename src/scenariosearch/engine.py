@@ -39,51 +39,73 @@ class Archive:
     Its whole state is the penalty grid, 0.0 where a scenario is untested and
     INF where tested, and the untested count of each row of the grid (a row
     is one block of the last two axes), with count, the number tested.
-    add() is the only writer of all three."""
+    add() is the only writer of all three.
+
+    The grids (penalty, distance buffer, flat-index table) are stored last
+    axis first, (n_last, n0, n1, n2): with the short last axis (9 levels on
+    the default grid) outermost, a full-grid distance's last outer add runs
+    over rows of n0 * n1 * n2 cells, not of n_last, about six times faster.
+    Queries still answer in flat-index order: the box query sorts by
+    (distance, flat index), and nearest_untested takes the smallest flat
+    index among all the cells at the minimum distance."""
 
     def __init__(self, space: ScenarioSpace):
         self.space = space
-        self._penalty = np.zeros(space.shape)
+        *head, self._last = space.shape
+        self._rest = math.prod(head)
+        stored = (self._last, *head)
+        self._penalty = np.zeros(stored)
         self._row_size = math.prod(space.shape[-2:])
         self._row_untested = np.full(space.cardinality // self._row_size, self._row_size)
         # per-axis value tables and distance divisors, as Python floats
         self._axes = tuple(zip((s.values for s in space.specs), space.scales.tolist()))
         # scratch for full-grid distances; no query returns a view of it
-        self._buf = np.empty(space.shape)
-        self._flat = np.arange(space.cardinality).reshape(space.shape)
+        self._buf = np.empty(stored)
+        flat = np.arange(space.cardinality).reshape(space.shape)
+        self._flat = np.ascontiguousarray(np.moveaxis(flat, -1, 0))
         self.count = 0
 
+    def _pos(self, idx: int) -> int:
+        """Position of flat index idx in the stored, last-axis-first grids."""
+        if not 0 <= idx < self.space.cardinality:
+            raise IndexError(f"scenario index {idx} out of range")
+        return idx % self._last * self._rest + idx // self._last
+
     def __contains__(self, idx: int) -> bool:
-        return bool(self._penalty.flat[idx] == INF)
+        return self._penalty.item(self._pos(idx)) == INF
 
     def add(self, idx: int) -> None:
-        if self._penalty.flat[idx] == INF:
+        pos = self._pos(idx)
+        if self._penalty.item(pos) == INF:
             raise InvariantError(f"scenario {idx} was already tested")
-        self._penalty.flat[idx] = INF
+        self._penalty.flat[pos] = INF
         self._row_untested[idx // self._row_size] -= 1
         self.count += 1
 
-    def _dist2(self, point: ContinuousPoint, block: tuple[slice, ...]) -> np.ndarray:
+    def _dist2(self, point: ContinuousPoint,
+               block: tuple[slice, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Squared step-normalized distances from point to every cell of the
-        grid block, +inf where the cell is tested, raveled in flat-index order.
+        grid block (one slice per axis), +inf where the cell is tested, and
+        the cells' flat indices, both raveled in the stored order.
 
         Each axis term is ((v - p) / scale) squared as x * x in Python floats,
         which is what numpy's ** 2 computes. The terms are summed in axis
-        order 0..n-1 by outer adds and the penalty is added last: x + 0.0 == x
-        and x + inf == inf, so an untested cell's distance is its plain axis
-        sum, bit for bit, and every sort and argmin over it picks the same
-        cell as a masked sum would."""
+        order, ((t0 + t1) + t2) + t3, by outer adds, the last as t3 + (...):
+        IEEE addition commutes, so it is the same float. The penalty is added
+        last: x + 0.0 == x and x + inf == inf, so an untested cell's distance
+        is its plain axis sum, bit for bit."""
         terms = []
         for (values, scale), p, s in zip(self._axes, point, block):
             terms.append([(x := (v - p) / scale) * x for v in values[s]])
-        penalty = self._penalty[block]
+        stored = (block[-1], *block[:-1])
+        penalty = self._penalty[stored]
         out = self._buf if penalty.shape == self._buf.shape else None
         dist2 = terms[0]
         for term in terms[1:-1]:
             dist2 = np.add.outer(dist2, term)
-        dist2 = np.add.outer(dist2, terms[-1], out=out)
+        dist2 = np.add.outer(terms[-1], dist2, out=out)
         dist2 += penalty
-        return dist2.ravel()
+        return dist2.ravel(), self._flat[stored].ravel()
 
     def untested_in_box(self, point: ContinuousPoint, j: int) -> np.ndarray:
         """Flat indices of untested scenarios in the jth box around point,
@@ -92,11 +114,10 @@ class Archive:
         if any(lo > hi for lo, hi in windows):
             return np.empty(0, dtype=np.int64)
         block = tuple(slice(lo, hi + 1) for lo, hi in windows)
-        dist2 = self._dist2(point, block)
-        # INF sorts last, and a stable sort keeps flat-index order among
-        # equal distances, so the untested cells lead in the wanted order
-        order = dist2.argsort(kind="stable")[: np.count_nonzero(dist2 < INF)]
-        return self._flat[block].ravel()[order]
+        dist2, flats = self._dist2(point, block)
+        # INF sorts last, so the untested cells lead, by distance then flat index
+        order = np.lexsort((flats, dist2))[: np.count_nonzero(dist2 < INF)]
+        return flats[order]
 
     def nearest_untested(self, point: ContinuousPoint) -> int:
         """Globally nearest untested scenario, ties by smaller flat index:
@@ -104,7 +125,11 @@ class Archive:
         if self.count == self.space.cardinality:
             raise InvariantError("every scenario has been tested")
         whole = (slice(None),) * len(self.space.shape)
-        return int(np.argmin(self._dist2(point, whole)))
+        dist2, flats = self._dist2(point, whole)
+        # the stored order is not flat-index order, so argmin's cell is one
+        # of the nearest, and the smallest flat index among all of them wins
+        ties = np.flatnonzero(dist2 == dist2[dist2.argmin()])
+        return int(flats[ties].min())
 
     def nth_untested(self, n: int) -> int:
         """Flat index of the nth untested scenario (0-based) in flat-index
@@ -115,7 +140,9 @@ class Archive:
         ends = np.cumsum(self._row_untested)
         row = int(np.searchsorted(ends, n, side="right"))
         before = int(ends[row - 1]) if row else 0
-        cells = np.flatnonzero(self._penalty.reshape(-1, self._row_size)[row] == 0.0)
+        # row (i, j) stored as (n_last, n2); transposed, it is in flat order
+        i, j = divmod(row, self.space.shape[1])
+        cells = np.flatnonzero(self._penalty[:, i, j, :].T == 0.0)
         return row * self._row_size + int(cells[n - before])
 
 

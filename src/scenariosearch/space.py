@@ -74,12 +74,6 @@ class ParamSpec:
     def span(self) -> float:
         return self.hi - self.lo
 
-    def nearest_level(self, v: float) -> int:
-        if self.levels == 1:
-            return 0
-        k = int(math.floor((v - self.start) / self.step + 0.5))
-        return min(max(k, 0), self.levels - 1)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -150,7 +144,8 @@ class ScenarioSpace:
         return Scenario(*values, index=int(idx))
 
     def scenario_from_levels(self, levels: tuple[int, ...]) -> Scenario:
-        return self.index_to_scenario(self.levels_to_index(levels))
+        index = self.levels_to_index(levels)
+        return Scenario(*(s.values[k] for s, k in zip(self.specs, levels)), index=index)
 
     def clamp(self, point: ContinuousPoint) -> ContinuousPoint:
         return tuple(
@@ -160,7 +155,8 @@ class ScenarioSpace:
 
     @cached_property
     def _window_axes(self) -> tuple[tuple[float, float, int, float], ...]:
-        """Per-axis (start, step, top level, gamma), as box_windows reads them."""
+        """Per-axis (start, step, top level, gamma), as box_windows and snap
+        read them."""
         return tuple((s.start, s.step, s.levels - 1, s.gamma) for s in self.specs)
 
     def box_windows(self, point: ContinuousPoint, j: int) -> list[tuple[int, int]]:
@@ -194,7 +190,10 @@ class ScenarioSpace:
 
     def snap(self, point: ContinuousPoint) -> Scenario:
         """Nearest grid scenario (per-axis rounding, half away from start)."""
-        levels = tuple(spec.nearest_level(v) for spec, v in zip(self.specs, point))
+        levels = []
+        for (start, step, top, _), v in zip(self._window_axes, point):
+            k = floor((v - start) / step + 0.5) if top else 0
+            levels.append(0 if k < 0 else top if k > top else k)
         return self.scenario_from_levels(levels)
 
 

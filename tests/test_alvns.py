@@ -29,6 +29,14 @@ FLAT_A = build_space([
     ParamSpec("d", 13.5, 10.0, 3),
     ParamSpec("a", -0.05, 0.0, 1),
 ])
+# one-level deceleration axis with a nonzero step, on a grid wide enough
+# that a radius-6 ball leaves cells untested
+LONE_A = build_space([
+    ParamSpec("v_e", 9.0, 0.5, 12),
+    ParamSpec("v_o", 5.5, 0.5, 10),
+    ParamSpec("d", 13.5, 1.0, 9),
+    ParamSpec("a", -0.85, -0.2, 1),
+])
 QUIET = SimConfig(sigma=0.0)
 DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
 DEFAULT_SPACE = load_config(DEFAULT_CFG).space
@@ -294,6 +302,44 @@ class TestArchive:
         assert first == 57433
         assert archive.nearest_untested(point) == first
 
+    @pytest.mark.parametrize("space", [DEFAULT_SPACE, TOY, FLAT_A, LONE_A])
+    def test_nearest_untested_ties_around_a_tested_ball(self, space):
+        # every cell within r levels of a grid node is tested, so the nearest
+        # untested cells lie on a shell around it, tied at one distance
+        # across many cells and, from r = 6 on the default grid, across
+        # several deceleration levels; the archive stores that axis first,
+        # so its first minimum is often not the smallest flat index
+        rng = make_generator(20)
+        levels = np.indices(space.shape).reshape(4, -1)
+        nodes = [tuple(n // 2 for n in space.shape), (0, 0, 0, 0)]
+        nodes += [tuple(int(rng.integers(n)) for n in space.shape) for _ in range(3)]
+        whole = (slice(None),) * 4
+        for node in nodes:
+            r2 = sum((k - c) ** 2 for k, c in zip(levels, node))
+            for r in range(1, 8):
+                tested = np.flatnonzero(r2 <= r * r).tolist()
+                if len(tested) == space.cardinality:
+                    break
+                archive = Archive(space)
+                for k in tested:
+                    archive.add(k)
+                point = space.scenario_from_levels(node).coords
+                ref = dist2_reference(space, tested, point, whole)
+                ties = np.flatnonzero(ref == ref.min())
+                if r >= 6 and space.shape[-1] > 1:
+                    assert len({k % space.shape[-1] for k in ties.tolist()}) > 1
+                assert archive.nearest_untested(point) == ties[0]
+
+    def test_index_out_of_range_rejected(self):
+        # the stored position of an out-of-range index can be a valid cell
+        archive = Archive(TOY)
+        for k in (-1, TOY.cardinality, TOY.cardinality + 1):
+            with pytest.raises(IndexError):
+                archive.add(k)
+            with pytest.raises(IndexError):
+                k in archive
+        assert archive.count == 0
+
     def test_nearest_untested_full_archive(self):
         archive = Archive(TOY)
         for k in range(TOY.cardinality):
@@ -407,10 +453,15 @@ class TestArchiveBits:
             windows = space.box_windows(point, j)
             if all(lo <= hi for lo, hi in windows):
                 blocks.append(tuple(slice(lo, hi + 1) for lo, hi in windows))
+        # compared cell by cell, keyed by flat index, whatever order the
+        # archive stores its grid in
+        flat = np.arange(space.cardinality).reshape(space.shape)
         for block in blocks:
-            got = archive._dist2(point, block).tolist()
+            dist2, flats = archive._dist2(point, block)
+            got = dict(zip(flats.tolist(), (x.hex() for x in dist2.tolist())))
             expected = dist2_reference(space, tested, point, block).tolist()
-            assert [x.hex() for x in got] == [x.hex() for x in expected]
+            assert got == dict(zip(flat[block].ravel().tolist(),
+                                   (x.hex() for x in expected)))
 
     @given(st.sampled_from((TOY, FLAT_A)), st.data())
     @settings(max_examples=30, deadline=None)

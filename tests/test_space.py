@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -228,3 +229,42 @@ class TestBoxWindows:
         assert sp.box_windows((9.0, 5.5, 13.5, -0.05 + EPS / 2), 1)[3] == (0, 0)
         assert sp.box_windows((9.0, 5.5, 13.5, -1.0), 1)[3] == (0, -1)
 
+
+def nearest_level_reference(spec, v):
+    """The per-axis rounding rule as a ParamSpec method once computed it."""
+    if spec.levels == 1:
+        return 0
+    k = int(math.floor((v - spec.start) / spec.step + 0.5))
+    return min(max(k, 0), spec.levels - 1)
+
+
+def fields_hex(scenario):
+    """Every field of a Scenario, floats by float.hex, and each field's type."""
+    return [(type(v), v.hex() if isinstance(v, float) else v)
+            for v in dataclasses.astuple(scenario)]
+
+
+@st.composite
+def snap_points(draw):
+    """spaces_and_points, with some coordinates moved to a midpoint between
+    two levels, where the rounding rule decides."""
+    space, point = draw(spaces_and_points())
+    point = list(point)
+    for i, spec in enumerate(space.specs):
+        if spec.levels > 1 and draw(st.booleans()):
+            point[i] = spec.start + (draw(st.integers(0, spec.levels - 2)) + 0.5) * spec.step
+    return space, tuple(point)
+
+
+class TestSnap:
+    @given(snap_points())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_index_round_trip(self, space_point):
+        # snap rounds from cached axis tuples and builds its scenario from the
+        # levels directly; the reference rounds per ParamSpec and goes levels
+        # -> flat index -> levels -> values, as snap once did
+        space, point = space_point
+        levels = tuple(nearest_level_reference(spec, v) for spec, v in zip(space.specs, point))
+        expected = space.index_to_scenario(space.levels_to_index(levels))
+        assert fields_hex(space.snap(point)) == fields_hex(expected)
+        assert fields_hex(space.scenario_from_levels(levels)) == fields_hex(expected)
