@@ -84,10 +84,9 @@ def run_alvns_sa(
         # the budget never exceeds the grid, so repairs always find an untested scenario
         while drv.remaining > 0:
             destroy_id = ops.select_operator(bank, "destroy", rng)
-            frac = ops.xi_fraction(cur_res.risk_class, drv.count / drv.budget,
+            frac = ops.xi_fraction(cur_res.risk_class, drv.archive.count / drv.budget,
                                    rejections > config.rejection_threshold)
-            xi = ops.sample_xi(space, (destroy_id - 1) // 2, frac, rng)
-            point = ops.destroy(current, destroy_id, xi, space)
+            point = ops.destroy(current, destroy_id, frac, space, rng)
             candidate, repair_id = repair(point, space, drv.archive, bank, rng)
             res = drv.evaluate(candidate)
             f_new = capped(res.gttc_min)

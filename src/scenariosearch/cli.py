@@ -77,14 +77,14 @@ def main(argv: list[str] | None = None) -> int:
             result = run_search(config, args.algo, args.seed)
             path = write_log(result, args.out, args.algo, args.seed)
             print(f"wrote {path} ({result.n_evaluations} evaluations)")
-            if result.invalid:
+            if result.failure:
                 print(f"run flagged invalid: {result.failure}", file=sys.stderr)
                 return EXIT_RUNTIME
         elif args.command == "compare":
             config = load_config(args.config)
             runs = run_experiment(config, args.out)
             print(f"wrote bundle to {args.out} ({len(runs)} runs)")
-            failures = {key: run.failure for key, run in runs.items() if run.invalid}
+            failures = {key: run.failure for key, run in runs.items() if run.failure}
             for (algorithm, seed), failure in failures.items():
                 print(f"{algorithm} seed {seed}: run flagged invalid: {failure}",
                       file=sys.stderr)

@@ -10,7 +10,7 @@ from .alvns import SearchConfig
 from .baselines import GAConfig
 from .oracle import resolve_workers
 from .sim import EgoControllerConfig, SimConfig
-from .space import PARAM_NAMES, ConfigurationError, ParamSpec, ScenarioSpace, build_space
+from .space import PARAM_NAMES, ConfigurationError, ParamSpec, ScenarioSpace
 
 ALGORITHMS = ("alvns-sa", "alns-sa", "ga", "random")
 SECTIONS = ("space", "run", "sim", "ego", "alvns_sa", "ga")
@@ -114,8 +114,8 @@ def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigurationError(f"missing section(s): {', '.join(missing)}")
 
     _check_keys(parser, "space", PARAM_NAMES)
-    space = build_space([_parse_axis(name, parser["space"][name])
-                         for name in PARAM_NAMES])
+    space = ScenarioSpace([_parse_axis(name, parser["space"][name])
+                           for name in PARAM_NAMES])
     # a search's budget and seed come from [run], per run, so its section
     # does not take them
     search, ga = (_read_section(parser, section, cls, budget=cls.budget, seed=cls.seed)

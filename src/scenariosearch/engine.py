@@ -58,7 +58,7 @@ class Archive:
         self._row_size = math.prod(space.shape[-2:])
         self._row_untested = np.full(space.cardinality // self._row_size, self._row_size)
         # per-axis value tables and distance divisors, as Python floats
-        self._axes = tuple(zip((s.values for s in space.specs), space.scales.tolist()))
+        self._axes = tuple((s.values, s.gamma or 1.0) for s in space.specs)
         # scratch for full-grid distances; no query returns a view of it
         self._buf = np.empty(stored)
         flat = np.arange(space.cardinality).reshape(space.shape)
@@ -192,12 +192,8 @@ class BudgetedEvaluator:
         self.failure: EvaluationFailure | None = None
 
     @property
-    def count(self) -> int:
-        return self.archive.count
-
-    @property
     def remaining(self) -> int:
-        return self.budget - self.count
+        return self.budget - self.archive.count
 
     def evaluate(self, scenario: Scenario) -> EvaluationResult:
         """The evaluator's result. If the evaluator raises, its exception is
@@ -246,17 +242,8 @@ class RunResult:
         return [r.scenario.index for r in self.rows]
 
     @property
-    def omega_star(self) -> list[int]:
-        """The accepted scenarios, in order."""
-        return [r.scenario.index for r in self.rows if r.accepted]
-
-    @property
     def n_evaluations(self) -> int:
         return len(self.rows)
-
-    @property
-    def invalid(self) -> bool:
-        return self.failure is not None
 
     @property
     def best_gttc_min(self) -> float:

@@ -92,24 +92,20 @@ def xi_fraction(risk_class: ScenarioClass, progress: float, widened: bool) -> fl
     return base - slope * progress
 
 
-def sample_xi(space: ScenarioSpace, param_index: int, frac: float, rng) -> float:
-    span = space.specs[param_index].span
-    if span == 0.0:
-        return 0.0
-    return rng.uniform(0.0, frac * span)
-
-
 def destroy(
-    current: Scenario, op_id: int, xi: float, space: ScenarioSpace
+    current: Scenario, op_id: int, frac: float, space: ScenarioSpace, rng
 ) -> ContinuousPoint:
-    """Perturb one coordinate of the current scenario by +/-xi and clamp."""
+    """Move one coordinate down (odd id) or up (even id) by xi, drawn from
+    [0, frac * span) (no draw on a zero-span axis), and clamp it to its axis."""
     if not 1 <= op_id <= N_DESTROY:
         raise ValueError(f"invalid destroy operator {op_id}")
     param = (op_id - 1) // 2
-    sign = -1.0 if op_id % 2 == 1 else 1.0
+    spec = space.specs[param]
+    xi = rng.uniform(0.0, frac * spec.span) if spec.span else 0.0
     coords = list(current.coords)
-    coords[param] += sign * xi
-    return space.clamp(tuple(coords))
+    coords[param] += -xi if op_id % 2 == 1 else xi
+    coords[param] = min(max(coords[param], spec.lo), spec.hi)
+    return tuple(coords)
 
 
 def sa_accept(delta: float, t_current: float, rng) -> bool:
@@ -143,7 +139,7 @@ def score_delta(old: float, new: float, accepted: bool) -> float:
 
 def update_bank(
     bank: OperatorBank, destroy_id: int, repair_id: int, theta: float, rho: float
-) -> OperatorBank:
+) -> None:
     """Credit theta to both used operators and refresh their weights in place."""
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must be in (0, 1]")
@@ -154,4 +150,3 @@ def update_bank(
         uses[idx] += 1
         scores[idx] += theta
         weights[idx] = (1.0 - rho) * weights[idx] + rho * scores[idx] / uses[idx]
-    return bank

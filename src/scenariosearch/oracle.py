@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+from .engine import EvaluationFailure
 from .metrics import ClassifiedSets, classified_sets
 from .risk import classify
 from .sim import EgoControllerConfig, SimConfig, evaluate
@@ -32,10 +33,15 @@ def _evaluate_range(
     start: int,
     stop: int,
 ) -> list[float]:
-    return [
-        evaluate(space.index_to_scenario(i), sim_config, ego_config, run_seed).gttc_min
-        for i in range(start, stop)
-    ]
+    gttc = []
+    for i in range(start, stop):
+        try:
+            scenario = space.index_to_scenario(i)
+            gttc.append(evaluate(scenario, sim_config, ego_config, run_seed).gttc_min)
+        except Exception as exc:  # name the scenario, as a failed search run does
+            failure = EvaluationFailure(i, type(exc).__name__, str(exc))
+            raise RuntimeError(str(failure)) from exc
+    return gttc
 
 
 def brute_force_oracle(
@@ -45,7 +51,8 @@ def brute_force_oracle(
     run_seed: int,
     workers: int = 0,
 ) -> list[float]:
-    """GTTC_min of every scenario, indexed by flat scenario index."""
+    """GTTC_min of every scenario, indexed by flat scenario index. A failure
+    names the smallest failing index: chunks stop at their first failure."""
     n = space.cardinality
     workers = resolve_workers(workers)
     if workers == 1 or n <= _CHUNK:
@@ -58,7 +65,9 @@ def brute_force_oracle(
                         run_seed, lo, hi)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-        for fut in futures:  # submission order keeps the map index-sorted
+        # submission order keeps the map index-sorted and raises the smallest
+        # failing index first
+        for fut in futures:
             gttc.extend(fut.result())
     return gttc
 

@@ -2,7 +2,7 @@
 
 A concrete scenario is a 4-tuple (ego speed, objective speed, initial gap,
 mean objective deceleration) lying on a regular grid. All search algorithms
-share this module's indexing, neighborhoods and step-normalized scales.
+share this module's indexing, neighborhood boxes and snapping.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, floor
-
-import numpy as np
 
 EPS = 1e-9
 
@@ -102,19 +100,11 @@ class ScenarioSpace:
     cardinality: int = field(init=False)
 
     def __post_init__(self):
-        shape = tuple(s.levels for s in self.specs)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "cardinality", int(np.prod(shape)))
-
-    @cached_property
-    def axis_values(self) -> tuple[np.ndarray, ...]:
-        """Per-axis table of grid values, indexed by level."""
-        return tuple(np.array(s.values) for s in self.specs)
-
-    @cached_property
-    def scales(self) -> np.ndarray:
-        """Per-axis divisor of step-normalized distances (1 on a zero-step axis)."""
-        return np.array([s.gamma or 1.0 for s in self.specs])
+        if len(self.specs) != 4:
+            raise ConfigurationError("exactly 4 parameter specs are required")
+        object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "shape", tuple(s.levels for s in self.specs))
+        object.__setattr__(self, "cardinality", math.prod(self.shape))
 
     @cached_property
     def max_ring(self) -> int:
@@ -147,12 +137,6 @@ class ScenarioSpace:
         index = self.levels_to_index(levels)
         return Scenario(*(s.values[k] for s, k in zip(self.specs, levels)), index=index)
 
-    def clamp(self, point: ContinuousPoint) -> ContinuousPoint:
-        return tuple(
-            min(max(float(v), spec.lo), spec.hi)
-            for spec, v in zip(self.specs, point)
-        )
-
     @cached_property
     def _window_axes(self) -> tuple[tuple[float, float, int, float], ...]:
         """Per-axis (start, step, top level, gamma), as box_windows and snap
@@ -177,12 +161,11 @@ class ScenarioSpace:
             windows.append((klo if klo > 0 else 0, khi if khi < top else top))
         return windows
 
-    def neighborhood(self, point, j: int) -> list[Scenario]:
+    def neighborhood(self, point: ContinuousPoint, j: int) -> list[Scenario]:
         """All grid scenarios within [point_i - j*step_i, point_i + j*step_i] per axis."""
         if j < 1:
             raise ValueError("neighborhood radius j must be >= 1")
-        coords = point.coords if isinstance(point, Scenario) else tuple(point)
-        windows = self.box_windows(coords, j)
+        windows = self.box_windows(point, j)
         if any(lo > hi for lo, hi in windows):
             return []
         ranges = [range(lo, hi + 1) for lo, hi in windows]
@@ -195,10 +178,3 @@ class ScenarioSpace:
             k = floor((v - start) / step + 0.5) if top else 0
             levels.append(0 if k < 0 else top if k > top else k)
         return self.scenario_from_levels(levels)
-
-
-def build_space(specs: list[ParamSpec]) -> ScenarioSpace:
-    if len(specs) != 4:
-        raise ConfigurationError("exactly 4 parameter specs are required")
-    return ScenarioSpace(specs=tuple(specs))
-

@@ -12,7 +12,7 @@ from scenariosearch.metrics import (
 )
 from scenariosearch.risk import SAFETY_CRITICAL, ScenarioClass
 from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
-from scenariosearch.space import ParamSpec, build_space
+from scenariosearch.space import ParamSpec, ScenarioSpace
 
 C = ScenarioClass
 
@@ -85,7 +85,7 @@ class TestCoverageVsOracle:
     def test_random_sampling_expectation(self):
         # a uniform sample of n from N scenarios covers each class at rate
         # n/N in expectation, whatever the class sizes are
-        space = build_space([
+        space = ScenarioSpace([
             ParamSpec("v_e", 9.0, 1.5, 4),
             ParamSpec("v_o", 5.5, 2.0, 3),
             ParamSpec("d", 13.5, 5.0, 3),

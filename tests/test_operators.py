@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -10,6 +11,7 @@ from scenariosearch import operators as ops
 from scenariosearch.config import load_config
 from scenariosearch.risk import INF, classify
 from scenariosearch.rng import make_generator
+from scenariosearch.space import ParamSpec, ScenarioSpace
 
 DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
 SPACE = load_config(DEFAULT_CFG).space
@@ -132,33 +134,68 @@ def roulette_reference(weights, rng) -> int:
     return len(weights) - 1
 
 
+def destroy_reference(current, op_id, frac, space, rng):
+    """destroy as three functions once computed it: sample_xi drew xi (none
+    on a zero-span axis), destroy moved the coordinate by sign * xi, and
+    ScenarioSpace.clamp clamped all four coordinates to their axis ranges."""
+    param = (op_id - 1) // 2
+    span = space.specs[param].span
+    xi = 0.0 if span == 0.0 else rng.uniform(0.0, frac * span)
+    sign = -1.0 if op_id % 2 == 1 else 1.0
+    coords = list(current.coords)
+    coords[param] += sign * xi
+    return tuple(min(max(float(v), spec.lo), spec.hi)
+                 for spec, v in zip(space.specs, coords))
+
+
+axis_specs = st.builds(
+    ParamSpec,
+    st.just("x"),
+    st.floats(-50.0, 50.0),
+    st.one_of(st.floats(0.01, 5.0), st.floats(-5.0, -0.01)),
+    st.integers(1, 6),  # a one-level axis has zero span
+)
+
+
+@st.composite
+def destroy_cases(draw):
+    """The default grid or a random one (one-level and negative-step axes
+    included), and a scenario on it, often on a corner level."""
+    space = draw(st.just(SPACE) | st.builds(ScenarioSpace, st.lists(
+        axis_specs, min_size=4, max_size=4)))
+    levels = [draw(st.sampled_from((0, n - 1)) | st.integers(0, n - 1))
+              for n in space.shape]
+    return space, space.scenario_from_levels(levels)
+
+
 class TestSampleXi:
+    """The step xi that destroy draws: within the class's band of the axis
+    span, and no draw at all on a zero-span axis."""
+
+    @staticmethod
+    def moves(op, frac, seed, space=SPACE, n=200):
+        """How far op moves the grid centre's coordinate, over n draws; the
+        bands used here, at most 0.4 of the span, stay clear of the clamp."""
+        center = space.scenario_from_levels([n // 2 for n in space.shape])
+        param = (op - 1) // 2
+        rng = make_generator(seed)
+        return [abs(ops.destroy(center, op, frac, space, rng)[param] - center.coords[param])
+                for _ in range(n)]
+
     def test_baseline_band_below_threshold(self):
-        rng = make_generator(4)
-        span = SPACE.specs[0].span
         frac = ops.xi_fraction(classify(5.0), 0 / 100, 2 > 5)
-        for _ in range(200):
-            xi = ops.sample_xi(SPACE, 0, frac, rng)
-            assert 0.0 <= xi <= 0.1 * span
+        assert 0.0 < max(self.moves(1, frac, 4)) <= 0.1 * SPACE.specs[0].span
 
     def test_crash_band(self):
-        rng = make_generator(5)
-        span = SPACE.specs[2].span
         frac = ops.xi_fraction(classify(0.0), 50 / 100, 10 > 5)
         assert frac == 0.1
-        for _ in range(200):
-            xi = ops.sample_xi(SPACE, 2, frac, rng)
-            assert xi <= 0.1 * span
+        assert 0.0 < max(self.moves(5, frac, 5)) <= 0.1 * SPACE.specs[2].span
 
     def test_risk_free_band_shrinks_with_progress(self):
-        rng = make_generator(6)
-        span = SPACE.specs[1].span
         frac = ops.xi_fraction(classify(3.0), 100 / 100, 10 > 5)
         assert frac == pytest.approx(0.4)
         assert ops.xi_fraction(classify(INF), 0.25, True) == pytest.approx(0.7)
-        for _ in range(200):
-            xi = ops.sample_xi(SPACE, 1, frac, rng)
-            assert xi <= 0.4 * span
+        assert 0.0 < max(self.moves(3, frac, 6)) <= 0.4 * SPACE.specs[1].span
 
     @pytest.mark.parametrize("g,frac", [
         (0.3, 0.2), (0.5, 0.2), (0.8, 0.3), (1.0, 0.3), (1.5, 0.8), (2.0, 0.8),
@@ -168,25 +205,37 @@ class TestSampleXi:
         assert ops.xi_fraction(classify(g), 0 / 100, False) == 0.1
 
     def test_degenerate_axis(self):
-        from scenariosearch.space import ParamSpec, build_space
-        sp = build_space([ParamSpec(n, 1.0, 1.0, 1) for n in "abcd"])
+        sp = ScenarioSpace([ParamSpec(n, 1.0, 1.0, 1) for n in "abcd"])
         frac = ops.xi_fraction(classify(5.0), 0 / 10, 0 > 5)
-        assert ops.sample_xi(sp, 0, frac, make_generator(0)) == 0.0
+        rng = make_generator(0)
+        before = rng.bit_generator.state
+        assert ops.destroy(sp.index_to_scenario(0), 1, frac, sp, rng) == (1.0,) * 4
+        assert rng.bit_generator.state == before
+
+
+class FixedStep:
+    """An rng stand-in whose uniform draw is always xi."""
+
+    def __init__(self, xi: float):
+        self.xi = xi
+
+    def uniform(self, low: float, high: float) -> float:
+        return self.xi
 
 
 class TestDestroy:
     def test_null_perturbation(self):
         s = SPACE.index_to_scenario(100)
-        assert ops.destroy(s, 3, 0.0, SPACE) == pytest.approx(s.coords)
+        assert ops.destroy(s, 3, 0.0, SPACE, make_generator(0)) == s.coords
 
     def test_r2_clamps(self):
         s = SPACE.snap((16.0, 10.0, 20.5, -0.85))
-        point = ops.destroy(s, 2, 0.7, SPACE)
+        point = ops.destroy(s, 2, 0.8, SPACE, FixedStep(0.7))
         assert point[0] == 16.5
 
     def test_r5_subtracts_gap(self):
         s = SPACE.snap((12.0, 10.0, 20.5, -0.85))
-        point = ops.destroy(s, 5, 2.3, SPACE)
+        point = ops.destroy(s, 5, 0.8, SPACE, FixedStep(2.3))
         assert point == pytest.approx((s.v_e, s.v_o, 18.2, s.a))
 
     @pytest.mark.parametrize("op,param,sign", [
@@ -195,12 +244,46 @@ class TestDestroy:
     ])
     def test_operator_directions(self, op, param, sign):
         s = SPACE.snap((12.0, 10.0, 20.5, -0.85))
-        point = ops.destroy(s, op, 0.01, SPACE)
+        point = ops.destroy(s, op, 0.1, SPACE, FixedStep(0.01))
         assert point[param] == pytest.approx(s.coords[param] + sign * 0.01)
 
     def test_invalid_op(self):
         with pytest.raises(ValueError):
-            ops.destroy(SPACE.index_to_scenario(0), 9, 0.1, SPACE)
+            ops.destroy(SPACE.index_to_scenario(0), 9, 0.1, SPACE, make_generator(0))
+
+    @given(destroy_cases(), st.integers(1, ops.N_DESTROY),
+           st.floats(0.1, 0.8) | st.sampled_from((0.1, 0.2, 0.3, 0.4, 0.8)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case, op, frac, seed):
+        # the same point, bit for bit, and the rng left in the same state
+        space, current = case
+        got, ref = make_generator(seed), make_generator(seed)
+        point = ops.destroy(current, op, frac, space, got)
+        expected = destroy_reference(current, op, frac, space, ref)
+        assert [v.hex() for v in point] == [v.hex() for v in expected]
+        assert got.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("op", range(1, ops.N_DESTROY + 1))
+    def test_corners_clamp_to_both_bounds(self, op):
+        # odd ids move toward an axis's lower bound and even ids toward its
+        # upper one; from the corner that sits on that bound, every step
+        # leaves the axis range and the moved coordinate is clamped back
+        param = (op - 1) // 2
+        spec = SPACE.specs[param]
+        bound = spec.lo if op % 2 == 1 else spec.hi
+        clamped = 0
+        for k, seed in itertools.product((0, SPACE.cardinality - 1), range(20)):
+            current = SPACE.index_to_scenario(k)
+            got, ref = make_generator(seed), make_generator(seed)
+            point = ops.destroy(current, op, 0.8, SPACE, got)
+            expected = destroy_reference(current, op, 0.8, SPACE, ref)
+            assert [v.hex() for v in point] == [v.hex() for v in expected]
+            assert got.bit_generator.state == ref.bit_generator.state
+            if current.coords[param] == bound:
+                assert point[param] == bound
+                clamped += 1
+        assert clamped == 20
 
 
 class TestSaAccept:

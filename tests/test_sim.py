@@ -17,7 +17,7 @@ from scenariosearch.sim import (
     evaluate,
     simulate,
 )
-from scenariosearch.space import ParamSpec, build_space
+from scenariosearch.space import ParamSpec, ScenarioSpace
 
 DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
 SPACE = load_config(DEFAULT_CFG).space
@@ -180,10 +180,10 @@ class TestEvaluate:
     def test_diverged_state_raises(self):
         # positions near the float maximum overflow within a few steps; an
         # explicit exception, so it holds under python -O too
-        huge = build_space([ParamSpec("v_e", 1e308, 0.0, 1),
-                            ParamSpec("v_o", 1e308, 0.0, 1),
-                            ParamSpec("d", 1e308, 0.0, 1),
-                            ParamSpec("a", -0.05, 0.0, 1)])
+        huge = ScenarioSpace([ParamSpec("v_e", 1e308, 0.0, 1),
+                              ParamSpec("v_o", 1e308, 0.0, 1),
+                              ParamSpec("d", 1e308, 0.0, 1),
+                              ParamSpec("a", -0.05, 0.0, 1)])
         for sigma in (0.0, 0.1):
             with pytest.raises(FloatingPointError, match="state diverged"):
                 evaluate(huge.index_to_scenario(0), SimConfig(sigma=sigma),
@@ -236,20 +236,20 @@ class TestEvaluateMatchesSimulate:
            sigma=SIGMAS, run_seed=RUN_SEEDS)
     @settings(max_examples=50, deadline=None)
     def test_one_level_axes(self, levels, sigma, run_seed):
-        space = build_space([ParamSpec("v_e", 12.0, 2.0, 3),
-                             ParamSpec("v_o", 8.0, 0.0, 1),
-                             ParamSpec("d", 6.0, 4.0, 4),
-                             ParamSpec("a", -1.0, 0.0, 1)])
+        space = ScenarioSpace([ParamSpec("v_e", 12.0, 2.0, 3),
+                               ParamSpec("v_o", 8.0, 0.0, 1),
+                               ParamSpec("d", 6.0, 4.0, 4),
+                               ParamSpec("a", -1.0, 0.0, 1)])
         assert_matches_reference(space.scenario_from_levels(levels),
                                  SimConfig(sigma=sigma), EgoControllerConfig(),
                                  run_seed)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.1])
     def test_contact_on_first_step(self, sigma):
-        space = build_space([ParamSpec("v_e", 16.5, 0.0, 1),
-                             ParamSpec("v_o", 5.5, 0.0, 1),
-                             ParamSpec("d", 0.01, 0.0, 1),
-                             ParamSpec("a", -1.65, 0.0, 1)])
+        space = ScenarioSpace([ParamSpec("v_e", 16.5, 0.0, 1),
+                               ParamSpec("v_o", 5.5, 0.0, 1),
+                               ParamSpec("d", 0.01, 0.0, 1),
+                               ParamSpec("a", -1.65, 0.0, 1)])
         res = assert_matches_reference(space.index_to_scenario(0),
                                        SimConfig(sigma=sigma),
                                        EgoControllerConfig(), 3)

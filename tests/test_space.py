@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenariosearch.config import load_config
-from scenariosearch.space import EPS, ConfigurationError, ParamSpec, build_space
+from scenariosearch.space import EPS, ConfigurationError, ParamSpec, ScenarioSpace
 
 DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
 DEFAULT_SPACE = load_config(DEFAULT_CFG).space
 
 
 def toy_space():
-    return build_space([
+    return ScenarioSpace([
         ParamSpec("v_e", 9.0, 3.0, 3),
         ParamSpec("v_o", 5.5, 4.0, 3),
         ParamSpec("d", 13.5, 10.0, 2),
@@ -28,11 +28,11 @@ class TestBuildSpace:
         assert DEFAULT_SPACE.cardinality == 60_480
 
     def test_degenerate_grid(self):
-        sp = build_space([ParamSpec(n, 1.0, 1.0, 1) for n in "abcd"])
+        sp = ScenarioSpace([ParamSpec(n, 1.0, 1.0, 1) for n in "abcd"])
         assert sp.cardinality == 1
 
     def test_product_of_levels(self):
-        sp = build_space([
+        sp = ScenarioSpace([
             ParamSpec("a", 0.0, 1.0, 2),
             ParamSpec("b", 0.0, 1.0, 3),
             ParamSpec("c", 0.0, 1.0, 4),
@@ -45,8 +45,16 @@ class TestBuildSpace:
             ParamSpec("x", 0.0, 0.0, 2)  # zero step
         with pytest.raises(ConfigurationError):
             ParamSpec("x", 0.0, 1.0, 0)  # zero levels
-        with pytest.raises(ConfigurationError):
-            build_space([ParamSpec("x", 0.0, 1.0, 2)] * 3)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_four_specs_required(self, n):
+        with pytest.raises(ConfigurationError, match="exactly 4 parameter specs"):
+            ScenarioSpace([ParamSpec("x", 0.0, 1.0, 2)] * n)
+
+    def test_specs_stored_as_tuple(self):
+        sp = ScenarioSpace([ParamSpec(n, 1.0, 1.0, 2) for n in "abcd"])
+        assert type(sp.specs) is tuple
+        assert hash(sp) == hash(ScenarioSpace(sp.specs))
 
 
 class TestIndexing:
@@ -100,18 +108,18 @@ class TestNeighborhood:
         sp = DEFAULT_SPACE
         center = sp.index_to_scenario(
             sp.snap((12.0, 10.0, 20.5, -0.85)).index)
-        box = sp.neighborhood(center, 1)
+        box = sp.neighborhood(center.coords, 1)
         assert len(box) == 81
         assert center.index in {s.index for s in box}
 
     def test_boundary_box_is_smaller(self):
         sp = DEFAULT_SPACE
-        box = sp.neighborhood(sp.index_to_scenario(0), 1)
+        box = sp.neighborhood(sp.index_to_scenario(0).coords, 1)
         assert len(box) == 16  # 2*2*2*2 corner box
 
     def test_max_ring_covers_grid(self):
         sp = toy_space()
-        box = sp.neighborhood(sp.index_to_scenario(0), sp.max_ring)
+        box = sp.neighborhood(sp.index_to_scenario(0).coords, sp.max_ring)
         assert len(box) == sp.cardinality
 
     def test_off_node_point(self):
@@ -140,21 +148,9 @@ class TestNeighborhood:
         assert inner <= outer
 
 
-class TestClamp:
-    def test_in_bounds_unchanged(self):
-        sp = DEFAULT_SPACE
-        p = (10.2, 7.7, 20.0, -1.0)
-        assert sp.clamp(p) == p
-
-    def test_upper_bound(self):
-        sp = DEFAULT_SPACE
-        assert sp.clamp((20.0, 7.7, 20.0, -1.0))[0] == 16.5
-
-    def test_all_below_min(self):
-        sp = DEFAULT_SPACE
-        clamped = sp.clamp((-5.0, 0.0, 0.0, -10.0))
-        assert clamped == pytest.approx((9.0, 5.5, 13.5, -1.65))
-        assert math.isclose(clamped[3], -1.65)
+def clamp(space, point):
+    """Each coordinate clamped to its axis range."""
+    return tuple(min(max(v, spec.lo), spec.hi) for spec, v in zip(space.specs, point))
 
 
 def level_window_reference(spec, center, radius):
@@ -184,7 +180,7 @@ axis_specs = st.builds(
 def spaces_and_points(draw):
     """A random grid (one-level and negative-step axes included) and a point
     on a level, off the grid inside or outside its hull, optionally clamped."""
-    space = build_space([draw(axis_specs) for _ in range(4)])
+    space = ScenarioSpace([draw(axis_specs) for _ in range(4)])
     point = []
     for spec in space.specs:
         if draw(st.booleans()):
@@ -193,7 +189,7 @@ def spaces_and_points(draw):
             margin = draw(st.sampled_from((0.0, 3.0))) * spec.gamma
             point.append(draw(st.floats(spec.lo - margin, spec.hi + margin)))
     if draw(st.booleans()):
-        point = space.clamp(point)
+        point = clamp(space, point)
     return space, tuple(point)
 
 
@@ -216,15 +212,15 @@ class TestBoxWindows:
                   for k in rng.integers(sp.cardinality, size=50)]
         points += [tuple(rng.uniform(s.lo - 2 * s.gamma, s.hi + 2 * s.gamma)
                          for s in sp.specs) for _ in range(50)]
-        points += [sp.clamp(p) for p in points[50:]]
+        points += [clamp(sp, p) for p in points[50:]]
         for point in points:
             expected = [level_window_reference(spec, p, j * spec.gamma)
                         for spec, p in zip(sp.specs, point)]
             assert sp.box_windows(point, j) == expected
 
     def test_one_level_axis(self):
-        sp = build_space([ParamSpec("v_e", 9.0, 3.0, 3), ParamSpec("v_o", 5.5, 4.0, 4),
-                          ParamSpec("d", 13.5, 10.0, 3), ParamSpec("a", -0.05, 0.0, 1)])
+        sp = ScenarioSpace([ParamSpec("v_e", 9.0, 3.0, 3), ParamSpec("v_o", 5.5, 4.0, 4),
+                            ParamSpec("d", 13.5, 10.0, 3), ParamSpec("a", -0.05, 0.0, 1)])
         assert sp.box_windows((9.0, 5.5, 13.5, -0.05), 1)[3] == (0, 0)
         assert sp.box_windows((9.0, 5.5, 13.5, -0.05 + EPS / 2), 1)[3] == (0, 0)
         assert sp.box_windows((9.0, 5.5, 13.5, -1.0), 1)[3] == (0, -1)
