@@ -6,6 +6,7 @@ the map is identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -51,25 +52,19 @@ def brute_force_oracle(
     run_seed: int,
     workers: int = 0,
 ) -> list[float]:
-    """GTTC_min of every scenario, indexed by flat scenario index. A failure
-    names the smallest failing index: chunks stop at their first failure."""
+    """GTTC_min of every scenario, by flat scenario index. A failure names the
+    smallest failing index: each chunk, and the chunk map, stop at the first."""
     n = space.cardinality
+    task = functools.partial(_evaluate_range, space, sim_config, ego_config, run_seed)
+    starts = range(0, n, _CHUNK)
+    stops = [*starts[1:], n]
     workers = resolve_workers(workers)
     if workers == 1 or n <= _CHUNK:
-        return _evaluate_range(space, sim_config, ego_config, run_seed, 0, n)
-    bounds = list(range(0, n, _CHUNK)) + [n]
-    gttc: list[float] = []
+        return [g for chunk in map(task, starts, stops) for g in chunk]
+    # Executor.map yields chunks in submission order, so the smallest failing
+    # index is raised first, and cancels the chunks still queued when it raises
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_evaluate_range, space, sim_config, ego_config,
-                        run_seed, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        # submission order keeps the map index-sorted and raises the smallest
-        # failing index first
-        for fut in futures:
-            gttc.extend(fut.result())
-    return gttc
+        return [g for chunk in pool.map(task, starts, stops) for g in chunk]
 
 
 def oracle_classified_sets(gttc: list[float]) -> ClassifiedSets:

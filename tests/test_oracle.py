@@ -1,20 +1,32 @@
-"""The full-grid oracle on its process-pool branch: a grid of more than one
-chunk gives the same GTTC_min list at any worker count, each value the
-Python float that `evaluate` returns, `oracle.csv` rows that take their
-coordinates from `index_to_scenario`, and, when a scenario fails, the same
-error naming the smallest failing index."""
+"""The full-grid oracle's ordered chunk map: a grid of more than one chunk
+gives the same GTTC_min list at any worker count and under every process
+start method, each value the Python float that `evaluate` returns,
+`oracle.csv` rows that take their coordinates from `index_to_scenario`, and,
+when a scenario fails, the same error naming the smallest failing index, with
+the chunks still queued in the pool cancelled."""
 
 import csv
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import scenariosearch
 from scenariosearch import oracle
 from scenariosearch.cli import EXIT_RUNTIME, main
 from scenariosearch.config import load_config
 from scenariosearch.experiment import ORACLE_HEADER, fmt, write_oracle
 from scenariosearch.oracle import brute_force_oracle
 from scenariosearch.risk import classify
-from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
+from scenariosearch.sim import (EgoControllerConfig, EvaluationResult, SimConfig,
+                                evaluate)
 from scenariosearch.space import ParamSpec, ScenarioSpace
 
 # 16 * 16 * 1 * 9 = 2,304 scenarios, with a one-level gap axis and a
@@ -40,6 +52,31 @@ def gttc_by_workers():
 
 def test_worker_counts_agree(gttc_by_workers):
     assert gttc_by_workers[2] == gttc_by_workers[1]
+
+
+# the pool under a start method set in a fresh interpreter; the result goes
+# back as float.hex strings
+START_METHOD_RUN = """\
+import json, multiprocessing, sys
+from scenariosearch.oracle import brute_force_oracle
+from test_oracle import EGO, RUN_SEED, SIM, SPACE
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    gttc = brute_force_oracle(SPACE, SIM, EGO, RUN_SEED, 2)
+    print(json.dumps([g.hex() for g in gttc]))
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_under_start_method(gttc_by_workers, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} is not available on this platform")
+    path = [str(Path(scenariosearch.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-c", START_METHOD_RUN, method],
+                         cwd=Path(__file__).parent, env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert json.loads(run.stdout) == [g.hex() for g in gttc_by_workers[1]]
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -105,3 +142,33 @@ def test_cli_exits_2_and_writes_no_oracle(tmp_path, capsys, command, workers):
     assert rc == EXIT_RUNTIME
     assert capsys.readouterr().err == f"error: {DIVERGED}\n"
     assert not (out / "oracle.csv").exists()
+
+
+def test_a_failure_stops_the_pool(monkeypatch):
+    """Scenario 0 fails: the map raises it and cancels the chunks still queued.
+    Threads stand in for processes, so the patched evaluator is seen under any
+    start method, and each evaluation yields the GIL."""
+    space = ScenarioSpace([ParamSpec("v_e", 9.0, 0.5, 16),
+                           ParamSpec("v_o", 5.5, 0.5, 16),
+                           ParamSpec("d", 13.5, 1.0, 16),
+                           ParamSpec("a", -0.05, -0.2, 8)])
+    assert space.cardinality == 16 * oracle._CHUNK
+    workers = 2
+    calls = 0
+    lock = threading.Lock()
+    result = EvaluationResult(1.0, classify(1.0), 1)
+
+    def stand_in(scenario, sim_config, ego_config, run_seed):
+        nonlocal calls
+        with lock:
+            calls += 1
+        if scenario.index == 0:
+            raise FloatingPointError("state diverged")
+        time.sleep(0)
+        return result
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(oracle, "evaluate", stand_in)
+    with pytest.raises(RuntimeError, match="^scenario 0: FloatingPointError: "):
+        brute_force_oracle(space, SIM, EGO, RUN_SEED, workers)
+    assert calls <= (workers + 1) * oracle._CHUNK
