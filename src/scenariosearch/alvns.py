@@ -14,6 +14,7 @@ from typing import Callable
 
 from . import operators as ops
 from .engine import BudgetedEvaluator, InvariantError, RunResult, RunStopped, capped
+from .risk import classify
 from .rng import make_generator
 from .sim import EvaluationResult
 from .space import ContinuousPoint, Scenario, ScenarioSpace, require_finite
@@ -78,24 +79,24 @@ def run_alvns_sa(
         cur_res = drv.evaluate(current)
         t_current = config.t_begin
         drv.log(current, cur_res, accepted=True, t_current=t_current)
-        f_current = capped(cur_res.gttc_min)
         rejections = 0
 
         # the budget never exceeds the grid, so repairs always find an untested scenario
         while drv.remaining > 0:
             destroy_id = ops.select_operator(bank, "destroy", rng)
-            frac = ops.xi_fraction(cur_res.risk_class, drv.archive.count / drv.budget,
+            frac = ops.xi_fraction(classify(cur_res.gttc_min),
+                                   drv.archive.count / drv.budget,
                                    rejections > config.rejection_threshold)
             point = ops.destroy(current, destroy_id, frac, space, rng)
             candidate, repair_id = repair(point, space, drv.archive, bank, rng)
             res = drv.evaluate(candidate)
-            f_new = capped(res.gttc_min)
-            accepted = ops.sa_accept(f_new - f_current, t_current, rng)
+            accepted = ops.sa_accept(capped(res.gttc_min) - capped(cur_res.gttc_min),
+                                     t_current, rng)
             theta = ops.score_delta(cur_res.gttc_min, res.gttc_min, accepted)
             drv.log(candidate, res, accepted, destroy_id, repair_id, t_current)
 
             if accepted:
-                current, cur_res, f_current = candidate, res, f_new
+                current, cur_res = candidate, res
                 rejections = 0
             else:
                 rejections += 1

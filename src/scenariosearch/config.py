@@ -64,6 +64,8 @@ def _parse_axis(name: str, text: str) -> ParamSpec:
             f"[space] {name}: expected start:step:levels, got {text!r}")
     try:
         return ParamSpec(name, float(parts[0]), float(parts[1]), int(parts[2]))
+    except ConfigurationError as exc:  # ParamSpec's own error names the axis
+        raise ConfigurationError(f"[space] {exc}") from exc
     except ValueError as exc:
         raise ConfigurationError(f"[space] {name}: {exc}") from exc
 

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .metrics import ClassifiedSets, classified_sets
-from .risk import INF, ScenarioClass
+from .risk import INF, classify
 from .sim import EvaluationResult
 from .space import ContinuousPoint, Scenario, ScenarioSpace
 
@@ -152,7 +152,6 @@ class LogRow:
 
     scenario: Scenario
     gttc_min: float
-    risk_class: ScenarioClass
     accepted: bool
     destroy_op: int | None = None
     repair_op: int | None = None
@@ -212,15 +211,8 @@ class BudgetedEvaluator:
     def log(self, scenario: Scenario, res: EvaluationResult, accepted: bool,
             destroy_op: int | None = None, repair_op: int | None = None,
             t_current: float | None = None) -> None:
-        self.rows.append(LogRow(
-            scenario=scenario,
-            gttc_min=res.gttc_min,
-            risk_class=res.risk_class,
-            accepted=accepted,
-            destroy_op=destroy_op,
-            repair_op=repair_op,
-            t_current=t_current,
-        ))
+        self.rows.append(LogRow(scenario, res.gttc_min, accepted,
+                                destroy_op, repair_op, t_current))
 
     def result(self, bank=None, **extras) -> RunResult:
         return RunResult(self.rows, bank, self.failure, extras)
@@ -250,4 +242,4 @@ class RunResult:
         return min((r.gttc_min for r in self.rows), default=INF)
 
     def classified_sets(self) -> ClassifiedSets:
-        return classified_sets((r.risk_class, r.scenario.index) for r in self.rows)
+        return classified_sets((classify(r.gttc_min), r.scenario.index) for r in self.rows)

@@ -75,7 +75,7 @@ def log_lines(result: RunResult) -> list[str]:
             str(s.index),
             fmt(s.v_e), fmt(s.v_o), fmt(s.d), fmt(s.a),
             fmt(row.gttc_min),
-            row.risk_class.label,
+            classify(row.gttc_min).label,
             "1" if row.accepted else "0",
             str(row.destroy_op) if row.destroy_op is not None else "",
             str(row.repair_op) if row.repair_op is not None else "",

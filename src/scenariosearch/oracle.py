@@ -58,8 +58,9 @@ def brute_force_oracle(
     task = functools.partial(_evaluate_range, space, sim_config, ego_config, run_seed)
     starts = range(0, n, _CHUNK)
     stops = [*starts[1:], n]
-    workers = resolve_workers(workers)
-    if workers == 1 or n <= _CHUNK:
+    # at most one worker per chunk, and a single chunk or worker runs in-process
+    workers = min(resolve_workers(workers), len(starts))
+    if workers == 1:
         return [g for chunk in map(task, starts, stops) for g in chunk]
     # Executor.map yields chunks in submission order, so the smallest failing
     # index is raised first, and cancels the chunks still queued when it raises

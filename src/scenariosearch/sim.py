@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .risk import INF, ScenarioClass, classify
+from .risk import INF
 from .rng import make_generator, scenario_seed
 from .space import Scenario, require_finite
 
@@ -86,7 +86,6 @@ class TrajectoryRecord:
 @dataclass(frozen=True)
 class EvaluationResult:
     gttc_min: float
-    risk_class: ScenarioClass
     n_steps: int
 
 
@@ -197,4 +196,4 @@ def evaluate(
     """
     best, n_steps = _run(scenario, sim_config, ego_config,
                          scenario_seed(run_seed, scenario.index))
-    return EvaluationResult(gttc_min=best, risk_class=classify(best), n_steps=n_steps)
+    return EvaluationResult(gttc_min=best, n_steps=n_steps)

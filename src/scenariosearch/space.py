@@ -47,8 +47,9 @@ class ParamSpec:
             raise ConfigurationError(f"{self.name}: levels must be >= 1")
         if self.levels > 1 and self.step == 0.0:
             raise ConfigurationError(f"{self.name}: step must be nonzero")
-        if not math.isfinite(self.start) or not math.isfinite(self.step):
-            raise ConfigurationError(f"{self.name}: non-finite spec")
+        # a finite span also keeps every level, and max_ring, finite
+        if not all(map(math.isfinite, (self.start, self.step, self.span))):
+            raise ConfigurationError(f"{self.name}: start, step and span must be finite")
 
     @property
     def gamma(self) -> float:

@@ -20,7 +20,7 @@ from scenariosearch.baselines import (
 )
 from scenariosearch.config import load_config
 from scenariosearch.engine import Archive, InvariantError
-from scenariosearch.experiment import log_lines, make_evaluator
+from scenariosearch.experiment import log_lines, make_evaluator, run_search
 from scenariosearch.rng import make_generator
 from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
 from scenariosearch.space import ParamSpec, ScenarioSpace
@@ -37,12 +37,26 @@ DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.
 # 2,000, sigma 0.1; about 1,500 of its children are redirected to the
 # nearest untested scenario, so moving any redirect changes it
 GA_LOG_SHA256 = "05fe0fe7dda66f0bc6f07d8b9fad297a97051b3eef015cdddff4b89e2eeb570e"
+# the same for the other three algorithms: each log's classes, accept flags,
+# operators and temperatures, so a change to the SA loop or the log moves it
+LOG_SHA256 = {
+    "alvns-sa": "c5020e148d90fe536b48b0aaa2ec4e4d5dbc650e10b072e3a487b8b57a9f1cd8",
+    "alns-sa": "337492828fa5e33bae726fef8c41bfd95563542391e1211eaf84afc64c44d267",
+    "random": "be1eefe67a2ce3914a2b453eaa0211b205ced897d21ea2c602a6088ed3bcdf7d",
+}
 
 
 def toy_evaluator(run_seed=0):
     return functools.partial(evaluate, sim_config=QUIET,
                              ego_config=EgoControllerConfig(),
                              run_seed=run_seed)
+
+
+@pytest.mark.parametrize("algorithm", LOG_SHA256)
+def test_log_golden(algorithm):
+    config = dataclasses.replace(load_config(DEFAULT_CFG), budget=2000)
+    text = "\n".join(log_lines(run_search(config, algorithm, 101)))
+    assert hashlib.sha256(text.encode()).hexdigest() == LOG_SHA256[algorithm]
 
 
 class TestRandom:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import hashlib
 import math
 import os
 import warnings
@@ -241,6 +242,52 @@ class TestCliExitCodes:
         assert not out.exists() or not os.listdir(out)
 
 
+# an axis whose levels or span overflow a float, in place of a toy.cfg axis
+OVERFLOWING = {
+    "a": ("a = -0.05:-1.6:2", "a = -0.05:-1e308:3"),  # the third level is -inf
+    "v_o": ("v_o = 5.5:4.0:3", "v_o = 1.7e308:-1.7e308:3"),  # infinite span
+}
+NOT_FINITE = "start, step and span must be finite"
+
+
+def overflowing_config(tmp_path, axis) -> str:
+    with open(TOY_CFG) as fh:
+        text = fh.read()
+    old, new = OVERFLOWING[axis]
+    assert old in text
+    p = tmp_path / "overflow.cfg"
+    p.write_text(text.replace(old, new))
+    return str(p)
+
+
+class TestOverflowingAxis:
+    @pytest.mark.parametrize("axis", OVERFLOWING)
+    def test_load_rejects(self, tmp_path, axis):
+        with pytest.raises(ConfigurationError, match=rf"^\[space\] {axis}: {NOT_FINITE}$"):
+            load_config(overflowing_config(tmp_path, axis))
+
+    @pytest.mark.parametrize("command", ["enumerate", "search"])
+    @pytest.mark.parametrize("axis", OVERFLOWING)
+    def test_exits_1_before_writing(self, tmp_path, capsys, axis, command):
+        out = tmp_path / "out"
+        config = overflowing_config(tmp_path, axis)
+        argv = [command, "--config", config, "--out", str(out)]
+        if command == "search":
+            argv += ["--algo", "alvns-sa", "--seed", "1"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: [space] {axis}: {NOT_FINITE}\n"
+        assert not out.exists()
+
+    def test_axis_named_once(self, tmp_path, capsys):
+        with open(TOY_CFG) as fh:
+            text = fh.read()
+        p = tmp_path / "bad.cfg"
+        p.write_text(text.replace("a = -0.05:-1.6:2", "a = -0.05:-1.6:0"))
+        rc = main(["enumerate", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: [space] a: levels must be >= 1\n"
+
+
 FAILURE_LINE = "run flagged invalid: scenario 5: RuntimeError: boom"
 
 
@@ -301,6 +348,23 @@ class TestFailureReporting:
         assert "n/a" in capsys.readouterr().out
 
 
+# sha256 of each file of the toy compare bundle
+TOY_BUNDLE_SHA256 = {
+    "alns-sa_seed1.csv": "f9cce39015639b7f1965ea25d62816b2a29e991f6ec12908ff97043df2277042",
+    "alns-sa_seed2.csv": "b2610abe6ae55f9b17995825c79c369b905924bc5f8f6f47329513bd96b8e603",
+    "alvns-sa_seed1.csv": "62720a40fa5a4a476a0d343bde054df59ff5bc530111fcc607b9f840da43266b",
+    "alvns-sa_seed2.csv": "bf07b3a98d541b85243531349fcb3d30a3913229e94113a7dfee36582f10d4f0",
+    "distribution.csv": "5135f02401bcad2f6bcc70cc2d95c982a58ab9bce3e6cb1216f1a24132d85163",
+    "ga_seed1.csv": "e4f1ebe65a796a3b9b33c1c7128970b282492ce6e6082cd18734e4fb89f9fc7d",
+    "ga_seed2.csv": "951251f6bb97f3ad3910940339078e3ddb7b43b9b28ff2d78f7d4a22bb49934c",
+    "operators.csv": "7a98a872334ca51e698619bf556ba2440baf81d4cd204d68551866f47343965a",
+    "oracle.csv": "713261b44bb8f4bafe074c3c4a117f4892b5dc194e29b03bcb02d7729e489de7",
+    "random_seed1.csv": "816872fdf159d09e50f8c155b928397e518648cd379f18b644f61ee63ef98001",
+    "random_seed2.csv": "5798159bb356147bba26397e4e8889868d48281355f99adcf85e3d0fadd5bb30",
+    "summary.csv": "a3a3de0a251ad32c0b0f422cb1f772e2852bae471d0ceffb87a34a168deb189f",
+}
+
+
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundle")
@@ -315,6 +379,11 @@ class TestCompareAndReport:
                      "distribution.csv", "alvns-sa_seed1.csv",
                      "random_seed2.csv", "ga_seed1.csv", "alns-sa_seed2.csv"]:
             assert (bundle / name).exists(), name
+
+    def test_bundle_golden(self, bundle):
+        digests = {name: hashlib.sha256((bundle / name).read_bytes()).hexdigest()
+                   for name in os.listdir(bundle)}
+        assert digests == TOY_BUNDLE_SHA256
 
     def test_summary_rows(self, bundle):
         with open(bundle / "summary.csv", newline="") as fh:

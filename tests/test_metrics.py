@@ -10,7 +10,7 @@ from scenariosearch.metrics import (
     proportion,
     safety_critical_union,
 )
-from scenariosearch.risk import SAFETY_CRITICAL, ScenarioClass
+from scenariosearch.risk import SAFETY_CRITICAL, ScenarioClass, classify
 from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
 from scenariosearch.space import ParamSpec, ScenarioSpace
 
@@ -95,7 +95,7 @@ class TestCoverageVsOracle:
                                ego_config=EgoControllerConfig(), run_seed=0)
         oracle = {c: set() for c in C}
         for k in range(space.cardinality):
-            oracle[ev(space.index_to_scenario(k)).risk_class].add(k)
+            oracle[classify(ev(space.index_to_scenario(k)).gttc_min)].add(k)
         n, n_seeds = 18, 200
         rate = n / space.cardinality
         present = [c for c in C if oracle[c]]

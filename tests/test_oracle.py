@@ -156,7 +156,7 @@ def test_a_failure_stops_the_pool(monkeypatch):
     workers = 2
     calls = 0
     lock = threading.Lock()
-    result = EvaluationResult(1.0, classify(1.0), 1)
+    result = EvaluationResult(1.0, 1)
 
     def stand_in(scenario, sim_config, ego_config, run_seed):
         nonlocal calls
@@ -172,3 +172,39 @@ def test_a_failure_stops_the_pool(monkeypatch):
     with pytest.raises(RuntimeError, match="^scenario 0: FloatingPointError: "):
         brute_force_oracle(space, SIM, EGO, RUN_SEED, workers)
     assert calls <= (workers + 1) * oracle._CHUNK
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Threads stand in for the process pool and record each size asked for;
+    a stand-in evaluator keeps the grid quick."""
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(oracle, "evaluate", lambda *args: EvaluationResult(1.0, 1))
+    return sizes
+
+
+@pytest.mark.parametrize("workers", [2, 8, 1000])
+def test_pool_never_outnumbers_the_chunks(recording_pool, workers):
+    assert oracle._CHUNK < SPACE.cardinality <= 2 * oracle._CHUNK
+    gttc = brute_force_oracle(SPACE, SIM, EGO, RUN_SEED, workers)
+    assert gttc == [1.0] * SPACE.cardinality
+    assert recording_pool == [2]
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2, 8, 1000])
+def test_one_chunk_runs_in_process(recording_pool, workers):
+    space = ScenarioSpace([ParamSpec("v_e", 9.0, 0.5, 16),
+                           ParamSpec("v_o", 5.5, 0.5, 16),
+                           ParamSpec("d", 13.5, 1.0, 8),
+                           ParamSpec("a", -0.05, -0.2, 1)])
+    assert space.cardinality == oracle._CHUNK
+    gttc = brute_force_oracle(space, SIM, EGO, RUN_SEED, workers)
+    assert gttc == [1.0] * oracle._CHUNK
+    assert recording_pool == []

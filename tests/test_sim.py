@@ -154,13 +154,13 @@ class TestEvaluate:
     def test_crash_result(self):
         res = evaluate(scenario(16.5, 5.5, 13.5, -1.65), QUIET, NO_BRAKE, 0)
         assert res.gttc_min == 0.0
-        assert res.risk_class is ScenarioClass.CRASH
+        assert classify(res.gttc_min) is ScenarioClass.CRASH
 
     def test_never_closing_is_risk_free(self):
         res = evaluate(scenario(9.0, 15.5, 32.5, -0.05), QUIET,
                        EgoControllerConfig(), 0)
         assert res.gttc_min == INF
-        assert res.risk_class is ScenarioClass.RISK_FREE
+        assert classify(res.gttc_min) is ScenarioClass.RISK_FREE
 
     def test_bitwise_determinism(self):
         s = SPACE.index_to_scenario(4567)
@@ -203,7 +203,7 @@ class TestEvaluate:
         for idx in range(0, 60_480, 7001):
             res = evaluate(SPACE.index_to_scenario(idx), SimConfig(),
                            EgoControllerConfig(), run_seed=2)
-            assert (res.risk_class is ScenarioClass.CRASH) == (res.gttc_min == 0.0)
+            assert (classify(res.gttc_min) is ScenarioClass.CRASH) == (res.gttc_min == 0.0)
 
 
 def assert_matches_reference(s, sim_config, ego_config, run_seed):
@@ -214,7 +214,7 @@ def assert_matches_reference(s, sim_config, ego_config, run_seed):
     ref = gttc_min(rec)
     assert type(res.gttc_min) is float
     assert res.gttc_min.hex() == float(ref).hex()
-    assert res.risk_class is classify(ref)
+    assert classify(res.gttc_min) is classify(ref)
     assert res.n_steps == len(rec)
     return res
 

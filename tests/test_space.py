@@ -46,6 +46,20 @@ class TestBuildSpace:
         with pytest.raises(ConfigurationError):
             ParamSpec("x", 0.0, 1.0, 0)  # zero levels
 
+    @pytest.mark.parametrize("start, step, levels", [
+        (math.inf, 1.0, 2), (0.0, math.nan, 2),
+        (-0.05, -1e308, 3),  # the third level overflows to -inf
+        (1.7e308, -1.7e308, 3),  # finite levels, infinite span
+    ])
+    def test_overflowing_axis_rejected(self, start, step, levels):
+        with pytest.raises(ConfigurationError,
+                           match="^x: start, step and span must be finite$"):
+            ParamSpec("x", start, step, levels)
+
+    def test_huge_finite_axis_accepted(self):
+        # the grid of tests/test_engine.py's diverging run, which fails at run time
+        assert math.isfinite(ParamSpec("x", 1e308, -1e307, 2).span)
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_four_specs_required(self, n):
         with pytest.raises(ConfigurationError, match="exactly 4 parameter specs"):
