@@ -97,32 +97,30 @@ def run_ga(
             fvals = np.array([fitness[i] for i in population])
             weights = fvals.max() - fvals + FITNESS_EPS
 
-            children: list[np.ndarray] = []
-            for i in range(len(population)):
+            children: list[list[int]] = []
+            for parent in population:
                 mate = population[ops.roulette(weights, rng)]
                 if rng.random() < config.crossover:
-                    g1 = np.array(space.index_to_levels(population[i]))
-                    g2 = np.array(space.index_to_levels(mate))
-                    mask = rng.random(4) < 0.5
-                    children.append(np.where(mask, g1, g2))
-                    children.append(np.where(mask, g2, g1))
+                    # gene k: (parent's, mate's) level where draw k is < 0.5, else swapped
+                    genes = zip(space.index_to_levels(parent), space.index_to_levels(mate))
+                    pairs = [(g1, g2) if u < 0.5 else (g2, g1)
+                             for u, (g1, g2) in zip(rng.random(4).tolist(), genes)]
+                    children.extend(map(list, zip(*pairs)))
             for genes in children:
                 if rng.random() < config.mutation:
                     gene = int(rng.integers(4))
                     genes[gene] = int(rng.integers(space.shape[gene]))
 
-            newcomers: list[int] = []
             for genes in children[: drv.remaining]:
-                idx = space.levels_to_index(tuple(int(g) for g in genes))
+                idx = space.levels_to_index(genes)
                 if idx in drv.archive:
                     # untested scenarios remain: the budget never exceeds the grid
                     idx = drv.archive.nearest_untested(space.index_to_scenario(idx).coords)
                 eval_index(idx)
-                newcomers.append(idx)
+                # every index is evaluated once, so no child is already a member
+                population.append(idx)
 
-            pool = sorted(set(population) | set(newcomers),
-                          key=lambda i: (fitness[i], i))
-            population = pool[: config.population]
+            population = sorted(population, key=lambda i: (fitness[i], i))[: config.population]
 
     return drv.result(generations=generation)
 

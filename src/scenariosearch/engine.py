@@ -41,9 +41,9 @@ class Archive:
     is one block of the last two axes), with count, the number tested.
     add() is the only writer of all three.
 
-    The grids (penalty, distance buffer, flat-index table) are stored last
-    axis first, (n_last, n0, n1, n2): with the short last axis (9 levels on
-    the default grid) outermost, a full-grid distance's last outer add runs
+    The grids (penalty, flat-index table) are stored last axis first,
+    (n_last, n0, n1, n2): with the short last axis (9 levels on the default
+    grid) outermost, a full-grid distance's last outer add runs
     over rows of n0 * n1 * n2 cells, not of n_last, about six times faster.
     Queries still answer in flat-index order: the box query sorts by
     (distance, flat index), and nearest_untested takes the smallest flat
@@ -59,8 +59,6 @@ class Archive:
         self._row_untested = np.full(space.cardinality // self._row_size, self._row_size)
         # per-axis value tables and distance divisors, as Python floats
         self._axes = tuple((s.values, s.gamma or 1.0) for s in space.specs)
-        # scratch for full-grid distances; no query returns a view of it
-        self._buf = np.empty(stored)
         flat = np.arange(space.cardinality).reshape(space.shape)
         self._flat = np.ascontiguousarray(np.moveaxis(flat, -1, 0))
         self.count = 0
@@ -98,13 +96,11 @@ class Archive:
         for (values, scale), p, s in zip(self._axes, point, block):
             terms.append([(x := (v - p) / scale) * x for v in values[s]])
         stored = (block[-1], *block[:-1])
-        penalty = self._penalty[stored]
-        out = self._buf if penalty.shape == self._buf.shape else None
         dist2 = terms[0]
         for term in terms[1:-1]:
             dist2 = np.add.outer(dist2, term)
-        dist2 = np.add.outer(terms[-1], dist2, out=out)
-        dist2 += penalty
+        dist2 = np.add.outer(terms[-1], dist2)
+        dist2 += self._penalty[stored]
         return dist2.ravel(), self._flat[stored].ravel()
 
     def untested_in_box(self, point: ContinuousPoint, j: int) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
+import itertools
 import os
 import statistics
 
@@ -29,9 +29,7 @@ RunKey = tuple[str, int]  # (algorithm, seed)
 
 def fmt(x: float | None) -> str:
     """One CSV cell: blank where the value is undefined."""
-    if x is None:
-        return ""
-    return "inf" if math.isinf(x) else f"{x:.12g}"
+    return "" if x is None else f"{x:.12g}"
 
 
 def atomic_write(path: str, lines: list[str]) -> None:
@@ -91,10 +89,12 @@ def write_log(result: RunResult, out_dir: str, algorithm: str, seed: int) -> str
 
 
 def write_oracle(space, gttc: list[float], out_dir: str) -> str:
+    # each axis value is formatted once; product varies the last axis fastest,
+    # as the flat index does, so its tuples come in flat-index order
+    cells = itertools.product(*([fmt(v) for v in s.values] for s in space.specs))
     lines = [ORACLE_HEADER]
-    for i, g in enumerate(gttc):
-        coords = space.index_to_scenario(i).coords
-        lines.append(",".join([str(i), *map(fmt, coords), fmt(g), classify(g).label]))
+    for i, (coords, g) in enumerate(zip(cells, gttc, strict=True)):
+        lines.append(",".join([str(i), *coords, fmt(g), classify(g).label]))
     path = os.path.join(out_dir, "oracle.csv")
     atomic_write(path, lines)
     return path

@@ -9,27 +9,20 @@ from dataclasses import dataclass
 INF = float("inf")
 
 
-class ScenarioClass(enum.IntEnum):
-    """Five-level risk classes, ordered from most to least dangerous."""
+class ScenarioClass(str, enum.Enum):
+    """Five-level risk classes, ordered from most to least dangerous; each
+    value is the class's CSV label."""
 
-    CRASH = 0
-    NEAR_CRASH = 1
-    HIGH_RISK = 2
-    RISK = 3
-    RISK_FREE = 4
+    CRASH = "crash"
+    NEAR_CRASH = "near-crash"
+    HIGH_RISK = "high-risk"
+    RISK = "risk"
+    RISK_FREE = "risk-free"
 
     @property
     def label(self) -> str:
-        return _LABELS[self]
+        return self.value
 
-
-_LABELS = {
-    ScenarioClass.CRASH: "crash",
-    ScenarioClass.NEAR_CRASH: "near-crash",
-    ScenarioClass.HIGH_RISK: "high-risk",
-    ScenarioClass.RISK: "risk",
-    ScenarioClass.RISK_FREE: "risk-free",
-}
 
 SAFETY_CRITICAL = (
     ScenarioClass.CRASH,

@@ -24,7 +24,7 @@ from scenariosearch.cli import EXIT_RUNTIME, main
 from scenariosearch.config import load_config
 from scenariosearch.experiment import ORACLE_HEADER, fmt, write_oracle
 from scenariosearch.oracle import brute_force_oracle
-from scenariosearch.risk import classify
+from scenariosearch.risk import INF, classify
 from scenariosearch.sim import (EgoControllerConfig, EvaluationResult, SimConfig,
                                 evaluate)
 from scenariosearch.space import ParamSpec, ScenarioSpace
@@ -98,6 +98,36 @@ def test_written_rows(gttc_by_workers, workers, tmp_path):
     for i, (row, g) in enumerate(zip(rows, gttc)):
         coords = map(fmt, SPACE.index_to_scenario(i).coords)
         assert row == [str(i), *coords, fmt(g), classify(g).label], i
+
+
+# the band edges and both sentinels: 0.0 on contact, finite values, and inf
+# where the pair never closes
+GTTC_CYCLE = (0.0, 1 / 3, 0.5, 0.75, 1.0, 2.0, 2.0001, 123.456, INF)
+TOY_CFG = Path(__file__).parents[1] / "configs" / "toy.cfg"
+
+
+@pytest.mark.parametrize("grid", ["toy", "descending-and-one-level"])
+def test_writer_matches_per_index_reference(grid, tmp_path):
+    """The writer formats each axis value once and walks the axis tables in
+    product order; its file equals rows built per index from
+    index_to_scenario and fmt."""
+    space = load_config(str(TOY_CFG)).space if grid == "toy" else SPACE
+    gttc = [GTTC_CYCLE[i % len(GTTC_CYCLE)] for i in range(space.cardinality)]
+    reference = [ORACLE_HEADER] + [
+        ",".join([str(i), *map(fmt, space.index_to_scenario(i).coords),
+                  fmt(g), classify(g).label])
+        for i, g in enumerate(gttc)
+    ]
+    with open(write_oracle(space, gttc, str(tmp_path)), newline="") as fh:
+        assert fh.read() == "\n".join(reference) + "\n"
+    assert {row.split(",")[5] for row in reference[1:]} >= {"0", "inf"}
+
+
+@pytest.mark.parametrize("surplus", [-1, 1])
+def test_writer_rejects_a_list_of_the_wrong_length(surplus, tmp_path):
+    with pytest.raises(ValueError):
+        write_oracle(SPACE, [1.0] * (SPACE.cardinality + surplus), str(tmp_path))
+    assert not (tmp_path / "oracle.csv").exists()
 
 
 # 1 * 2 * 64 * 40 = 5,120 scenarios: every one with the huge objective speed

@@ -109,6 +109,13 @@ class TestGttcMin:
             gttc_min(TrajectoryRecord(*([] for _ in range(8))))
 
 
+def danger_rank_id(value):
+    """Test id of a class: its danger rank, 0 (crash) to 4 (risk-free)."""
+    if isinstance(value, ScenarioClass):
+        return str(list(ScenarioClass).index(value))
+    return None
+
+
 class TestClassify:
     @pytest.mark.parametrize("value,expected", [
         (0.0, ScenarioClass.CRASH),
@@ -120,7 +127,7 @@ class TestClassify:
         (2.0, ScenarioClass.RISK),
         (2.0001, ScenarioClass.RISK_FREE),
         (INF, ScenarioClass.RISK_FREE),
-    ])
+    ], ids=danger_rank_id)
     def test_bands(self, value, expected):
         assert classify(value) is expected
 
@@ -128,3 +135,14 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(-0.1)
 
+
+class TestScenarioClass:
+    def test_members_in_danger_order_valued_by_label(self):
+        # the row order of summary.csv and distribution.csv
+        assert [c.value for c in ScenarioClass] == [
+            "crash", "near-crash", "high-risk", "risk", "risk-free"]
+
+    @pytest.mark.parametrize("cls", list(ScenarioClass))
+    def test_label_is_value(self, cls):
+        assert cls.label == cls.value
+        assert type(cls.label) is str

@@ -1,10 +1,13 @@
 """Source-level rules for the package: invariants are explicit exceptions,
-never `assert` statements, which `python -O` strips; and numpy is the only
-runtime dependency beyond the standard library."""
+never `assert` statements, which `python -O` strips; numpy is the only
+runtime dependency beyond the standard library; and `space.py` and `risk.py`
+import no numpy."""
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 import scenariosearch
 
@@ -41,3 +44,13 @@ def test_imports_only_stdlib_and_numpy():
         if module.partition(".")[0] not in allowed
     ]
     assert found == [], f"imports beyond the standard library and numpy: {found}"
+
+
+@pytest.mark.parametrize("name", ["space.py", "risk.py"])
+def test_module_imports_no_numpy(name):
+    """The axis tables and the risk bands are plain Python: these modules
+    keep no numpy copy of them."""
+    found = [f"{name}:{line}: {module}"
+             for line, module in absolute_imports(TREES[name])
+             if module.partition(".")[0] == "numpy"]
+    assert found == []
