@@ -59,7 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed --help or its usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         if args.command == "enumerate":
             config = load_config(args.config)

@@ -9,7 +9,6 @@ second-nearest untested grid scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,26 +23,18 @@ N_REPAIR = 2
 _BOOSTED = (1, 2, 3, 7)
 
 
-@dataclass
 class OperatorBank:
     """Weights, cumulative scores and use counts for the adaptive operators."""
 
-    destroy_weights: np.ndarray = field(
-        default_factory=lambda: np.ones(N_DESTROY)
-    )
-    destroy_scores: np.ndarray = field(
-        default_factory=lambda: np.array(
+    def __init__(self) -> None:
+        self.destroy_weights = np.ones(N_DESTROY)
+        self.destroy_scores = np.array(
             [1.5 if i + 1 in _BOOSTED else 1.0 for i in range(N_DESTROY)]
         )
-    )
-    destroy_uses: np.ndarray = field(
-        default_factory=lambda: np.zeros(N_DESTROY, dtype=np.int64)
-    )
-    repair_weights: np.ndarray = field(default_factory=lambda: np.ones(N_REPAIR))
-    repair_scores: np.ndarray = field(default_factory=lambda: np.ones(N_REPAIR))
-    repair_uses: np.ndarray = field(
-        default_factory=lambda: np.zeros(N_REPAIR, dtype=np.int64)
-    )
+        self.destroy_uses = np.zeros(N_DESTROY, dtype=np.int64)
+        self.repair_weights = np.ones(N_REPAIR)
+        self.repair_scores = np.ones(N_REPAIR)
+        self.repair_uses = np.zeros(N_REPAIR, dtype=np.int64)
 
 
 def init_bank() -> OperatorBank:

@@ -184,8 +184,27 @@ class TestCliExitCodes:
         assert not out.exists()
 
     def test_bad_subcommand(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+        assert main(["frobnicate"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--config", TOY_CFG, "--algo", "gaa", "--seed", "1"],
+        ["search", "--config", TOY_CFG, "--algo", "ga", "--seed", "x"],
+        ["enumerate", "--config", TOY_CFG, "--workers", "two"],
+        ["report"],
+    ], ids=["algo", "seed", "workers", "missing-in"])
+    def test_malformed_flag_exits_1_before_writing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        if argv[0] != "report":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: scenariosearch" in captured.err and "error:" in captured.err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "usage: scenariosearch" in capsys.readouterr().out
 
     @pytest.mark.parametrize("old, new", [
         ("[sim]\n", "[sim]\nsigam = 0.0\n"),

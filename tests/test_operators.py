@@ -37,6 +37,22 @@ class TestInitBank:
         bank = ops.init_bank()
         assert bank.repair_weights[0] == bank.repair_weights[1] == 1.0
 
+    def test_banks_share_no_state(self):
+        names = ("destroy_weights", "destroy_scores", "destroy_uses",
+                 "repair_weights", "repair_scores", "repair_uses")
+        used, fresh = ops.init_bank(), ops.init_bank()
+        initial = {name: getattr(fresh, name).copy() for name in names}
+        for name in names:
+            assert getattr(used, name) is not getattr(fresh, name)
+        rng = make_generator(4)
+        for _ in range(20):
+            ops.update_bank(used, ops.select_operator(used, "destroy", rng),
+                            ops.select_operator(used, "repair", rng),
+                            theta=2.6, rho=0.5)
+        assert used.destroy_uses.sum() == used.repair_uses.sum() == 20
+        for name in names:
+            assert np.array_equal(getattr(fresh, name), initial[name])
+
 
 class TestSelectOperator:
     def test_uniform_frequencies(self):
