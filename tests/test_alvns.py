@@ -332,7 +332,8 @@ class TestArchive:
                 assert archive.nearest_untested(point) == ties[0]
 
     def test_index_out_of_range_rejected(self):
-        # the stored position of an out-of-range index can be a valid cell
+        # a negative index must raise, because the archive's flat-order view
+        # would wrap it to a valid cell, as numpy's .item and .flat do
         archive = Archive(TOY)
         for k in (-1, TOY.cardinality, TOY.cardinality + 1):
             with pytest.raises(IndexError):
@@ -440,6 +441,22 @@ def archive_points(draw):
     return space, order[: int(fill * space.cardinality)].tolist(), tuple(point)
 
 
+# one-level first, second and last axes; with a one-level second axis the
+# archive's row split divmod(row, n1) degenerates to (row, 0)
+EDGE_SHAPES = ((1, 3, 2, 2), (3, 1, 2, 2), (2, 3, 2, 1))
+
+
+@st.composite
+def small_grids(draw):
+    """TOY, FLAT_A, or a grid of 1-4 levels per axis with signed steps."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from((TOY, FLAT_A)))
+    shape = draw(st.one_of(st.sampled_from(EDGE_SHAPES), st.tuples(*[st.integers(1, 4)] * 4)))
+    steps = st.sampled_from((-1.5, -0.5, 0.5, 2.0))
+    return ScenarioSpace([ParamSpec(name, 1.0, draw(steps), n)
+                          for name, n in zip(("v_e", "v_o", "d", "a"), shape)])
+
+
 class TestArchiveBits:
     @given(archive_points())
     @settings(max_examples=60, deadline=None)
@@ -463,8 +480,8 @@ class TestArchiveBits:
             assert got == dict(zip(flat[block].ravel().tolist(),
                                    (x.hex() for x in expected)))
 
-    @given(st.sampled_from((TOY, FLAT_A)), st.data())
-    @settings(max_examples=30, deadline=None)
+    @given(small_grids(), st.data())
+    @settings(max_examples=60, deadline=None)
     def test_nth_untested_follows_interleaved_adds(self, space, data):
         order = data.draw(st.permutations(range(space.cardinality)))
         archive = Archive(space)
@@ -472,8 +489,12 @@ class TestArchiveBits:
         for k in order:
             flats = np.flatnonzero(untested)
             assert [archive.nth_untested(n) for n in range(len(flats))] == flats.tolist()
+            assert [j in archive for j in range(space.cardinality)] == (~untested).tolist()
+            assert archive.count == space.cardinality - len(flats)
             archive.add(k)
             untested[k] = False
+        assert all(j in archive for j in range(space.cardinality))
+        assert archive.count == space.cardinality
         for n in (-1, 0):
             with pytest.raises(IndexError):
                 archive.nth_untested(n)
