@@ -4,7 +4,7 @@ driver, per-evaluation logging and the run-result container."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -105,6 +105,7 @@ class Archive:
         """Flat indices of untested scenarios in the jth box around point,
         sorted by step-normalized distance then by flat index."""
         windows = self.space.box_windows(point, j)
+        # an empty window such as (0, -2) would slice values[0:-1] and wrap
         if any(lo > hi for lo, hi in windows):
             return np.empty(0, dtype=np.int64)
         block = tuple(slice(lo, hi + 1) for lo, hi in windows)
@@ -145,9 +146,9 @@ class LogRow:
     scenario: Scenario
     gttc_min: float
     accepted: bool
-    destroy_op: int | None = None
-    repair_op: int | None = None
-    t_current: float | None = None
+    destroy_op: int | None
+    repair_op: int | None
+    t_current: float | None
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,9 @@ class RunResult:
     the run knows its algorithm and seed."""
 
     rows: list[LogRow]
-    bank: object | None = None
-    failure: EvaluationFailure | None = None
-    extras: dict = field(default_factory=dict)
+    bank: object | None
+    failure: EvaluationFailure | None
+    extras: dict
 
     @property
     def archive_order(self) -> list[int]:

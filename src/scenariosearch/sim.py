@@ -79,9 +79,6 @@ class TrajectoryRecord:
     obj_a: list[float]
     contact: list[bool]
 
-    def __len__(self):
-        return len(self.t)
-
 
 @dataclass(frozen=True)
 class EvaluationResult:
@@ -173,9 +170,9 @@ def _run(
 
 def simulate(
     scenario: Scenario,
-    sim_config: SimConfig = SimConfig(),
-    ego_config: EgoControllerConfig = EgoControllerConfig(),
-    seed: int = 0,
+    sim_config: SimConfig,
+    ego_config: EgoControllerConfig,
+    seed: int,
 ) -> TrajectoryRecord:
     """Every step of one run, as a record; the per-step reference."""
     rows = []
@@ -185,13 +182,13 @@ def simulate(
 
 def evaluate(
     scenario: Scenario,
-    sim_config: SimConfig = SimConfig(),
-    ego_config: EgoControllerConfig = EgoControllerConfig(),
-    run_seed: int = 0,
+    sim_config: SimConfig,
+    ego_config: EgoControllerConfig,
+    run_seed: int,
 ) -> EvaluationResult:
     """One counterfactual test; deterministic in (scenario, configs, run_seed).
 
-    Equal to gttc_min(simulate(...)) and len(simulate(...)), from the same
+    Equal to gttc_min(simulate(...)) and len(simulate(...).t), from the same
     step loop run without recording rows.
     """
     best, n_steps = _run(scenario, sim_config, ego_config,

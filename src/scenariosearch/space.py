@@ -166,10 +166,7 @@ class ScenarioSpace:
         """All grid scenarios within [point_i - j*step_i, point_i + j*step_i] per axis."""
         if j < 1:
             raise ValueError("neighborhood radius j must be >= 1")
-        windows = self.box_windows(point, j)
-        if any(lo > hi for lo, hi in windows):
-            return []
-        ranges = [range(lo, hi + 1) for lo, hi in windows]
+        ranges = [range(lo, hi + 1) for lo, hi in self.box_windows(point, j)]
         return [self.scenario_from_levels(lv) for lv in itertools.product(*ranges)]
 
     def snap(self, point: ContinuousPoint) -> Scenario:

@@ -371,6 +371,11 @@ class TestArchive:
         archive = Archive(space)
         tested = set()
         size = space.cardinality
+        # three v_e steps below the first level (on the default grid,
+        # (9.0 - 3 * 0.5, 5.5, 13.5, -0.05)): the j = 1 v_e window is (0, -2),
+        # so the box is empty, though a slice values[0:-1] of it would wrap
+        first = space.index_to_scenario(0).coords
+        below = (first[0] - 3 * space.specs[0].step, *first[1:])
         fills = range(1, size) if size < 100 else (1, size - 500, size - 3, size - 1)
         for n, k in enumerate(rng.permutation(size)[:-1], 1):
             archive.add(int(k))
@@ -379,7 +384,8 @@ class TestArchive:
                 continue
             points = [space.index_to_scenario(int(k)).coords,
                       sample_point(space, rng),
-                      sample_point(space, rng, margin=2.0)]
+                      sample_point(space, rng, margin=2.0), below]
+            assert archive.untested_in_box(below, 1).size == 0
             untested = [i for i in range(size) if i not in tested]
             for point in points:
                 key = lambda i: (dist2(space, point, i), i)

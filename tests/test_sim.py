@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import os
 
@@ -64,7 +65,7 @@ class TestSimulate:
     def test_objective_matches_closed_form_every_step(self):
         s = scenario(9.0, 10.0, 25.5, -1.05)
         rec = simulate(s, QUIET, NO_BRAKE, seed=0)
-        for k in range(len(rec)):
+        for k in range(len(rec.t)):
             pos, vel = objective_closed_form(rec.t[k], s.d, s.v_o, s.a)
             assert rec.obj_pos[k] == pytest.approx(pos, abs=1e-9)
             assert rec.obj_v[k] == pytest.approx(vel, abs=1e-9)
@@ -109,7 +110,7 @@ class TestSimulate:
         rec = simulate(s, config, NO_BRAKE, seed=5)
         n_max = int(round(config.t_max / config.dt))
         noise = make_generator(5).normal(0.0, config.sigma, n_max).tolist()
-        moving = [k for k in range(len(rec))
+        moving = [k for k in range(len(rec.t))
                   if rec.obj_v[k] > 0.0 and not rec.contact[k]]
         assert len(moving) > sim.NOISE_HEAD
         assert [rec.obj_a[k] for k in moving] == [
@@ -205,6 +206,15 @@ class TestEvaluate:
                            EgoControllerConfig(), run_seed=2)
             assert (classify(res.gttc_min) is ScenarioClass.CRASH) == (res.gttc_min == 0.0)
 
+    @pytest.mark.parametrize("fn", [evaluate, simulate], ids=lambda fn: fn.__name__)
+    def test_configs_and_seed_are_required(self, fn):
+        # a result is fixed by the scenario, both configs and the seed, so a
+        # caller that forgets one gets a TypeError, not SimConfig() or seed 0
+        params = inspect.signature(fn).parameters.values()
+        assert [p.name for p in params if p.default is not p.empty] == []
+        with pytest.raises(TypeError):
+            fn(SPACE.index_to_scenario(0), QUIET, EgoControllerConfig())
+
 
 def assert_matches_reference(s, sim_config, ego_config, run_seed):
     """evaluate() equals the GTTC reduction of the recorded trajectory, bit
@@ -215,7 +225,7 @@ def assert_matches_reference(s, sim_config, ego_config, run_seed):
     assert type(res.gttc_min) is float
     assert res.gttc_min.hex() == float(ref).hex()
     assert classify(res.gttc_min) is classify(ref)
-    assert res.n_steps == len(rec)
+    assert res.n_steps == len(rec.t)
     return res
 
 

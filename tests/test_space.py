@@ -151,6 +151,11 @@ class TestNeighborhood:
                 expected.add(k)
         assert got == expected
         assert {sp.index_to_scenario(k).v_e for k in got} == {9.0, 9.5}
+        # 1.5 below the first v_e level, 9.0, no cell lies within one step:
+        # the j = 1 v_e window is (0, -2), and range(0, -1) is empty
+        below = (9.0 - 3 * 0.5, 5.5, 13.5, -0.05)
+        assert sp.box_windows(below, 1)[0] == (0, -2)
+        assert sp.neighborhood(below, 1) == []
 
     @given(st.integers(0, 35), st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
