@@ -76,51 +76,51 @@ def run_ga(
     """
     rng = make_generator(config.seed)
     drv = BudgetedEvaluator(space, evaluator, config.budget)
-    fitness: dict[int, float] = {}
 
-    def eval_index(idx: int) -> None:
+    def evaluated(idx: int) -> tuple[float, int]:
         scenario = space.index_to_scenario(idx)
         res = drv.evaluate(scenario)
         drv.log(scenario, res, accepted=True)
-        fitness[idx] = capped(res.gttc_min)
+        return capped(res.gttc_min), idx
 
     generation = 0
     with contextlib.suppress(RunStopped):
         size = min(config.population, drv.budget)
         # the whole permutation is drawn, whatever the population size
-        population = rng.permutation(space.cardinality)[:size].tolist()
-        for idx in population:
-            eval_index(idx)
+        population = [evaluated(idx)
+                      for idx in rng.permutation(space.cardinality)[:size].tolist()]
 
         while drv.remaining > 0 and generation < config.generations:
             generation += 1  # first, so a generation that fails still counts
-            fvals = np.array([fitness[i] for i in population])
+            fvals = np.array([f for f, _ in population])
             weights = fvals.max() - fvals + FITNESS_EPS
 
             children: list[list[int]] = []
-            for parent in population:
-                mate = population[ops.roulette(weights, rng)]
+            for _, parent in population:
+                _, mate = population[ops.roulette(weights, rng)]
                 if rng.random() < config.crossover:
                     # gene k: (parent's, mate's) level where draw k is < 0.5, else swapped
                     genes = zip(space.index_to_levels(parent), space.index_to_levels(mate))
                     pairs = [(g1, g2) if u < 0.5 else (g2, g1)
                              for u, (g1, g2) in zip(rng.random(4).tolist(), genes)]
                     children.extend(map(list, zip(*pairs)))
-            for genes in children:
+
+            # each child is mutated where it is placed: evaluation and redirects
+            # draw nothing from rng, so the draws are those of mutating every
+            # child first, less the unread ones of children past the budget
+            for genes in children[: drv.remaining]:
                 if rng.random() < config.mutation:
                     gene = int(rng.integers(4))
                     genes[gene] = int(rng.integers(space.shape[gene]))
-
-            for genes in children[: drv.remaining]:
                 idx = space.levels_to_index(genes)
                 if idx in drv.archive:
                     # untested scenarios remain: the budget never exceeds the grid
                     idx = drv.archive.nearest_untested(space.index_to_scenario(idx).coords)
-                eval_index(idx)
                 # every index is evaluated once, so no child is already a member
-                population.append(idx)
+                population.append(evaluated(idx))
 
-            population = sorted(population, key=lambda i: (fitness[i], i))[: config.population]
+            # (fitness, index) pairs: the lowest f first, ties by smaller index
+            population = sorted(population)[: config.population]
 
     return drv.result(generations=generation)
 

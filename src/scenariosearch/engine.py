@@ -153,7 +153,7 @@ class LogRow:
 
 @dataclass(frozen=True)
 class EvaluationFailure:
-    """The exception an evaluator raised, and the scenario it raised on."""
+    """The exception an evaluation raised, and the scenario it raised on."""
 
     scenario_index: int
     error_type: str
@@ -188,15 +188,17 @@ class BudgetedEvaluator:
         return self.budget - self.archive.count
 
     def evaluate(self, scenario: Scenario) -> EvaluationResult:
-        """The evaluator's result. If the evaluator raises, its exception is
-        recorded in `failure` and RunStopped is raised from it, for the
-        driver to suppress. A budget overrun or a retest raises
-        InvariantError before the evaluator is called."""
+        """The evaluator's result. If the evaluator raises, or its GTTC_min
+        fails `classify` (NaN or negative), the error is recorded in `failure`
+        and RunStopped is raised from it, for the driver to suppress. A budget
+        overrun or a retest raises InvariantError before the evaluator runs."""
         if self.remaining <= 0:
             raise InvariantError("evaluation budget exhausted")
         self.archive.add(scenario.index)
         try:
-            return self._evaluator(scenario)
+            res = self._evaluator(scenario)
+            classify(res.gttc_min)  # a NaN or negative GTTC_min fails as a raise does
+            return res
         except Exception as exc:  # the evaluator is a black box
             self.failure = EvaluationFailure(scenario.index, type(exc).__name__, str(exc))
             raise RunStopped(str(self.failure)) from exc

@@ -43,10 +43,8 @@ def init_bank() -> OperatorBank:
 
 def roulette(weights: np.ndarray, rng) -> int:
     """0-based roulette-wheel draw proportional to weights."""
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("roulette requires a positive total weight")
-    u = rng.random() * total
+    # the total is positive: bank weights stay positive, GA's are >= FITNESS_EPS
+    u = rng.random() * float(weights.sum())
     acc = 0.0
     for i, w in enumerate(weights.tolist()):
         acc += w
@@ -88,8 +86,7 @@ def destroy(
 ) -> ContinuousPoint:
     """Move one coordinate down (odd id) or up (even id) by xi, drawn from
     [0, frac * span) (no draw on a zero-span axis), and clamp it to its axis."""
-    if not 1 <= op_id <= N_DESTROY:
-        raise ValueError(f"invalid destroy operator {op_id}")
+    # op_id comes from select_operator, so it is in 1..N_DESTROY
     param = (op_id - 1) // 2
     spec = space.specs[param]
     xi = rng.uniform(0.0, frac * spec.span) if spec.span else 0.0
@@ -101,8 +98,7 @@ def destroy(
 
 def sa_accept(delta: float, t_current: float, rng) -> bool:
     """Metropolis rule: always accept improvements, worse moves w.p. exp(-d/T)."""
-    if t_current <= 0.0:
-        raise ValueError("temperature must be positive")
+    # T > 0: the SA loop keeps T in (t_end, t_begin], and SearchConfig has t_end > 0
     if delta <= 0.0:
         return True
     return rng.random() < math.exp(-delta / t_current)
@@ -120,8 +116,7 @@ _THETA = {
 
 
 def score_delta(old: float, new: float, accepted: bool) -> float:
-    if old < 0.0 or math.isnan(old):
-        raise ValueError(f"GTTC_min must be >= 0, got {old}")
+    # BudgetedEvaluator.evaluate has checked old; classify checks new here
     improved, acc, rej = _THETA[classify(new)]
     if new < old:
         return improved
@@ -132,8 +127,7 @@ def update_bank(
     bank: OperatorBank, destroy_id: int, repair_id: int, theta: float, rho: float
 ) -> None:
     """Credit theta to both used operators and refresh their weights in place."""
-    if not 0.0 < rho <= 1.0:
-        raise ValueError("rho must be in (0, 1]")
+    # SearchConfig holds rho in (0, 1]
     for uses, scores, weights, idx in (
         (bank.destroy_uses, bank.destroy_scores, bank.destroy_weights, destroy_id - 1),
         (bank.repair_uses, bank.repair_scores, bank.repair_weights, repair_id - 1),

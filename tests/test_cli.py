@@ -15,7 +15,7 @@ from scenariosearch.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from scenariosearch.config import ALGORITHMS, load_config
 from scenariosearch.experiment import render_report
 from scenariosearch.risk import ScenarioClass
-from scenariosearch.sim import EgoControllerConfig, SimConfig
+from scenariosearch.sim import EgoControllerConfig, EvaluationResult, SimConfig
 from scenariosearch.space import ConfigurationError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -308,18 +308,26 @@ class TestOverflowingAxis:
 
 
 FAILURE_LINE = "run flagged invalid: scenario 5: RuntimeError: boom"
+NAN_LINE = "run flagged invalid: scenario 5: ValueError: GTTC_min must be >= 0, got nan"
 
 
 @pytest.fixture
-def failing_evaluator(monkeypatch):
+def failing_evaluator(request, monkeypatch):
+    """The search evaluator fails at scenario 5: it raises, or in the "nan"
+    mode (an indirect parameter) returns a NaN GTTC_min. Gives the line that
+    reports the failure."""
     real = experiment.evaluate
+    nan = getattr(request, "param", "raise") == "nan"
 
     def evaluate(scenario, *args, **kwargs):
         if scenario.index == 5:
+            if nan:
+                return EvaluationResult(math.nan, 1)
             raise RuntimeError("boom")
         return real(scenario, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "evaluate", evaluate)
+    return NAN_LINE if nan else FAILURE_LINE
 
 
 class TestFailureReporting:
@@ -339,6 +347,28 @@ class TestFailureReporting:
             f"{algorithm} seed {seed}: {FAILURE_LINE}"
             for algorithm in ("alvns-sa", "alns-sa", "ga", "random")
             for seed in (1, 2))
+
+    @pytest.mark.parametrize("failing_evaluator", ["raise", "nan"], indirect=True)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_search_logs_the_rows_before_the_failure(
+            self, tmp_path, capsys, bundle, failing_evaluator, algorithm):
+        rc = main(["search", "--config", TOY_CFG, "--algo", algorithm,
+                   "--seed", "1", "--out", str(tmp_path)])
+        assert rc == EXIT_RUNTIME
+        assert failing_evaluator in capsys.readouterr().err.splitlines()
+        # the clean run's log, header included, up to its scenario-5 row
+        name = f"{algorithm}_seed1.csv"
+        clean = (bundle / name).read_text().splitlines()
+        first_5 = next(i for i, line in enumerate(clean) if line.split(",")[1] == "5")
+        assert (tmp_path / name).read_text().splitlines() == clean[:first_5]
+
+    @pytest.mark.parametrize("failing_evaluator", ["nan"], indirect=True)
+    def test_compare_prints_each_nan(self, tmp_path, capsys, failing_evaluator):
+        rc = main(["compare", "--config", TOY_CFG, "--out", str(tmp_path)])
+        assert rc == EXIT_RUNTIME
+        assert sorted(capsys.readouterr().err.splitlines()) == sorted(
+            f"{algorithm} seed {seed}: {NAN_LINE}"
+            for algorithm in ALGORITHMS for seed in (1, 2))
 
     def test_compare_bundle_with_runs_that_tested_nothing(
             self, tmp_path, capsys, monkeypatch):
@@ -467,21 +497,3 @@ def load_log_sets(path):
         for row in csv.DictReader(fh):
             sets[by_label[row["class"]]].add(int(row["scenario_index"]))
     return sets
-
-
-class TestReproducibility:
-    def test_compare_outputs_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["compare", "--config", TOY_CFG, "--out", str(a)]) == 0
-        assert main(["compare", "--config", TOY_CFG, "--out", str(b)]) == 0
-        for name in os.listdir(a):
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-    def test_oracle_invariant_to_worker_count(self, tmp_path):
-        one, four = tmp_path / "w1", tmp_path / "w4"
-        assert main(["enumerate", "--config", TOY_CFG, "--out", str(one),
-                     "--workers", "1"]) == 0
-        assert main(["enumerate", "--config", TOY_CFG, "--out", str(four),
-                     "--workers", "4"]) == 0
-        assert (one / "oracle.csv").read_bytes() == \
-            (four / "oracle.csv").read_bytes()

@@ -3,6 +3,7 @@ retest, an exact budget, and evaluator failures recorded, not raised out of
 the driver."""
 
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from scenariosearch.baselines import GAConfig, run_alns_sa, run_ga, run_random
 from scenariosearch.engine import (Archive, BudgetedEvaluator, EvaluationFailure,
                                    InvariantError, RunStopped)
 from scenariosearch.rng import make_generator
-from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
+from scenariosearch.sim import EgoControllerConfig, EvaluationResult, SimConfig, evaluate
 from scenariosearch.space import ParamSpec, ScenarioSpace
 
 TOY = ScenarioSpace([
@@ -35,27 +36,42 @@ RUNNERS = {
 }
 
 
-def failing_at(n, calls):
-    """GOOD, except that the nth call raises; calls records every index."""
+def failing_at(n, calls, gttc_min=None):
+    """GOOD, except that the nth call raises, or returns gttc_min when one is
+    given; calls records every index."""
     def flaky(scenario):
         calls.append(scenario.index)
         if len(calls) == n:
-            raise RuntimeError("simulator crashed")
+            if gttc_min is None:
+                raise RuntimeError("simulator crashed")
+            return EvaluationResult(gttc_min, 1)
         return GOOD(scenario)
     return flaky
+
+
+# a raise, or a GTTC_min that classify rejects: (gttc_min, error type, message)
+FAILURES = [
+    (None, "RuntimeError", "simulator crashed"),
+    (math.nan, "ValueError", "GTTC_min must be >= 0, got nan"),
+    (-1.0, "ValueError", "GTTC_min must be >= 0, got -1.0"),
+]
 
 
 # n = 7 is GA's first child and n = 20 the budget's last evaluation
 @pytest.mark.parametrize("n", [1, 4, 7, 10, 20])
 @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
 def test_evaluator_failure_recorded(algorithm, n):
-    calls = []
-    res = RUNNERS[algorithm](failing_at(n, calls))
-    assert res.failure == EvaluationFailure(calls[n - 1], "RuntimeError",
-                                            "simulator crashed")
-    assert str(res.failure) == f"scenario {calls[n - 1]}: RuntimeError: simulator crashed"
-    assert len(calls) == n  # the run stops at the failure
-    assert res.archive_order == calls[: n - 1] and res.n_evaluations == n - 1
+    runs = []
+    for gttc_min, error_type, message in FAILURES:
+        calls = []
+        res = RUNNERS[algorithm](failing_at(n, calls, gttc_min))
+        assert res.failure == EvaluationFailure(calls[n - 1], error_type, message)
+        assert str(res.failure) == f"scenario {calls[n - 1]}: {error_type}: {message}"
+        assert len(calls) == n  # the run stops at the failure
+        assert res.archive_order == calls[: n - 1] and res.n_evaluations == n - 1
+        runs.append((calls, res.rows))
+    # the kind of failure changes nothing before it
+    assert all(run == runs[0] for run in runs)
 
 
 # population 6 and 2 children per crossover: a generation that fails counts
@@ -115,13 +131,14 @@ def test_alvns_repair_to_tested_scenario_raises():
 
 INVARIANTS_SNIPPET = """
 from scenariosearch.engine import BudgetedEvaluator, InvariantError
+from scenariosearch.sim import EvaluationResult
 from scenariosearch.space import ParamSpec, ScenarioSpace
 space = ScenarioSpace([ParamSpec(name, 0.0, 1.0, 2) for name in "abcd"])
-drv = BudgetedEvaluator(space, lambda s: s.index, budget=2)
+drv = BudgetedEvaluator(space, lambda s: EvaluationResult(float(s.index), 1), budget=2)
 print(__debug__)
 for idx in (0, 0, 1, 2):
     try:
-        print(drv.evaluate(space.index_to_scenario(idx)))
+        print(drv.evaluate(space.index_to_scenario(idx)).gttc_min)
     except InvariantError as exc:
         print(exc)
 """
@@ -134,6 +151,6 @@ def test_invariants_raise_under_optimize():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "False", "0", "scenario 0 was already tested", "1",
+        "False", "0.0", "scenario 0 was already tested", "1.0",
         "evaluation budget exhausted",
     ]

@@ -2,13 +2,16 @@
 gives the same GTTC_min list at any worker count and under every process
 start method, each value the Python float that `evaluate` returns,
 `oracle.csv` rows that take their coordinates from `index_to_scenario`, and,
-when a scenario fails, the same error naming the smallest failing index, with
-the chunks still queued in the pool cancelled."""
+when a scenario fails or returns a GTTC_min that `classify` rejects, the same
+error naming the smallest failing index, with the chunks still queued in the
+pool cancelled."""
 
 import csv
 import json
+import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -202,6 +205,32 @@ def test_a_failure_stops_the_pool(monkeypatch):
     with pytest.raises(RuntimeError, match="^scenario 0: FloatingPointError: "):
         brute_force_oracle(space, SIM, EGO, RUN_SEED, workers)
     assert calls <= (workers + 1) * oracle._CHUNK
+
+
+def rejected_at(k, value):
+    """A stand-in evaluator: 1.0 everywhere except scenario k's value."""
+    def stand_in(scenario, sim_config, ego_config, run_seed):
+        return EvaluationResult(value if scenario.index == k else 1.0, 1)
+    return stand_in
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0])
+def test_a_rejected_value_names_its_scenario(monkeypatch, value):
+    monkeypatch.setattr(oracle, "evaluate", rejected_at(2100, value))
+    message = f"scenario 2100: ValueError: GTTC_min must be >= 0, got {value}"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$") as info:
+        brute_force_oracle(SPACE, SIM, EGO, RUN_SEED, 1)
+    assert type(info.value.__cause__) is ValueError
+
+
+@pytest.mark.parametrize("command", ["enumerate", "compare"])
+def test_cli_names_a_nan_and_writes_no_oracle(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(oracle, "evaluate", rejected_at(5, math.nan))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(TOY_CFG), "--out", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "error: scenario 5: ValueError: GTTC_min must be >= 0, got nan\n")
+    assert not (out / "oracle.csv").exists()
 
 
 @pytest.fixture
