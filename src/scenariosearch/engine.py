@@ -104,11 +104,7 @@ class Archive:
     def untested_in_box(self, point: ContinuousPoint, j: int) -> np.ndarray:
         """Flat indices of untested scenarios in the jth box around point,
         sorted by step-normalized distance then by flat index."""
-        windows = self.space.box_windows(point, j)
-        # an empty window such as (0, -2) would slice values[0:-1] and wrap
-        if any(lo > hi for lo, hi in windows):
-            return np.empty(0, dtype=np.int64)
-        block = tuple(slice(lo, hi + 1) for lo, hi in windows)
+        block = tuple(slice(lo, hi + 1) for lo, hi in self.space.box_windows(point, j))
         dist2, flats = self._dist2(point, block)
         # INF sorts last, so the untested cells lead, by distance then flat index
         order = np.lexsort((flats, dist2))[: np.count_nonzero(dist2 < INF)]

@@ -110,8 +110,7 @@ class ScenarioSpace:
     @cached_property
     def max_ring(self) -> int:
         """Largest neighborhood radius L = max_i(range_i / step_i)."""
-        ratios = [s.span / s.gamma for s in self.specs if s.gamma > 0]
-        return max(1, math.ceil(max(ratios))) if ratios else 1
+        return max(1, ceil(max(s.span / (s.gamma or 1.0) for s in self.specs)))
 
     def index_to_levels(self, idx: int) -> tuple[int, ...]:
         if not 0 <= idx < self.cardinality:
@@ -141,25 +140,23 @@ class ScenarioSpace:
     @cached_property
     def _window_axes(self) -> tuple[tuple[float, float, int, float], ...]:
         """Per-axis (start, step, top level, gamma), as box_windows and snap
-        read them."""
-        return tuple((s.start, s.step, s.levels - 1, s.gamma) for s in self.specs)
+        read them; a zero step reads as 1, and its radius j * gamma stays 0."""
+        return tuple((s.start, s.step or 1.0, s.levels - 1, s.gamma) for s in self.specs)
 
     def box_windows(self, point: ContinuousPoint, j: int) -> list[tuple[int, int]]:
         """Per-axis inclusive level windows for the jth neighborhood box: the
-        levels whose values lie within j steps of the point's coordinate (a
-        one-level axis: its value within EPS, else the empty window (0, -1))."""
+        levels whose values lie within j steps, plus EPS of a step, of the
+        point's coordinate. An axis with no such level gets the empty window
+        (0, -1), so slice(lo, hi + 1) and range(lo, hi + 1) are empty too."""
         windows = []
         for (start, step, top, gamma), p in zip(self._window_axes, point):
             radius = j * gamma
-            if top == 0:
-                windows.append((0, 0) if abs(start - p) <= radius + EPS else (0, -1))
-                continue
             a = (p - radius - start) / step
             b = (p + radius - start) / step
             if step < 0.0:  # a descending axis maps the lower bound to the higher level
                 a, b = b, a
-            klo, khi = ceil(a - EPS), floor(b + EPS)
-            windows.append((klo if klo > 0 else 0, khi if khi < top else top))
+            klo, khi = max(ceil(a - EPS), 0), min(floor(b + EPS), top)
+            windows.append((klo, khi) if klo <= khi else (0, -1))
         return windows
 
     def neighborhood(self, point: ContinuousPoint, j: int) -> list[Scenario]:
@@ -173,6 +170,6 @@ class ScenarioSpace:
         """Nearest grid scenario (per-axis rounding, half away from start)."""
         levels = []
         for (start, step, top, _), v in zip(self._window_axes, point):
-            k = floor((v - start) / step + 0.5) if top else 0
+            k = floor((v - start) / step + 0.5)
             levels.append(0 if k < 0 else top if k > top else k)
         return self.scenario_from_levels(levels)

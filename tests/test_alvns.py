@@ -372,8 +372,8 @@ class TestArchive:
         tested = set()
         size = space.cardinality
         # three v_e steps below the first level (on the default grid,
-        # (9.0 - 3 * 0.5, 5.5, 13.5, -0.05)): the j = 1 v_e window is (0, -2),
-        # so the box is empty, though a slice values[0:-1] of it would wrap
+        # (9.0 - 3 * 0.5, 5.5, 13.5, -0.05)): the j = 1 v_e window is the empty
+        # window (0, -1), so the box is empty
         first = space.index_to_scenario(0).coords
         below = (first[0] - 3 * space.specs[0].step, *first[1:])
         fills = range(1, size) if size < 100 else (1, size - 500, size - 3, size - 1)

@@ -57,6 +57,40 @@ def test_worker_counts_agree(gttc_by_workers):
     assert gttc_by_workers[2] == gttc_by_workers[1]
 
 
+# SPACE as a config file; the budget only has to fit the grid
+SPACE_CFG = """\
+[space]
+v_e = 9.0:0.5:16
+v_o = 5.5:0.5:16
+d = 13.5:1.0:1
+a = -0.05:-0.2:9
+
+[sim]
+sigma = 0.1
+
+[run]
+budget = 100
+oracle_seed = 7
+"""
+
+
+def test_cli_oracle_is_byte_identical_across_a_pool(tmp_path):
+    """`enumerate` writes the same oracle.csv in-process and across a two-process
+    pool: the grid is two chunks, where the toy grid's one chunk never leaves
+    the process."""
+    config = tmp_path / "space.cfg"
+    config.write_text(SPACE_CFG)
+    assert load_config(str(config)).space == SPACE
+    written = []
+    for workers in WORKERS:
+        out = tmp_path / f"w{workers}"
+        assert main(["enumerate", "--config", str(config), "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        written.append((out / "oracle.csv").read_bytes())
+    assert written[0].count(b"\n") == SPACE.cardinality + 1
+    assert written[1] == written[0]
+
+
 # the pool under a start method set in a fresh interpreter; the result goes
 # back as float.hex strings
 START_METHOD_RUN = """\

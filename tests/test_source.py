@@ -1,7 +1,7 @@
 """Source-level rules for the package: invariants are explicit exceptions,
 never `assert` statements, which `python -O` strips; numpy is the only
-runtime dependency beyond the standard library; and `space.py` and `risk.py`
-import no numpy."""
+runtime dependency beyond the standard library; `space.py` and `risk.py`
+import no numpy; and every source file parses as Python 3.10."""
 
 import ast
 import sys
@@ -12,6 +12,7 @@ import pytest
 import scenariosearch
 
 PACKAGE = Path(scenariosearch.__file__).parent
+REPO = Path(__file__).parents[1]
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -54,3 +55,20 @@ def test_module_imports_no_numpy(name):
              for line, module in absolute_imports(TREES[name])
              if module.partition(".")[0] == "numpy"]
     assert found == []
+
+
+def test_sources_parse_as_python_3_10():
+    """Python 3.10, the floor of requires-python, parses every source file
+    under src/, tests/ and bench/. This checks the grammar only (no `except*`,
+    no `type` statement), not which stdlib APIs a file calls."""
+    found = []
+    for path in sorted(p for top in ("src", "tests", "bench")
+                       for p in (REPO / top).rglob("*.py")):
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            found.append(f"{path.relative_to(REPO)}:{exc.lineno}: {exc.msg}")
+    assert found == [], f"syntax newer than Python 3.10: {found}"
+    with pytest.raises(SyntaxError):  # the check does reject 3.11 grammar
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))

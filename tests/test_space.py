@@ -152,9 +152,9 @@ class TestNeighborhood:
         assert got == expected
         assert {sp.index_to_scenario(k).v_e for k in got} == {9.0, 9.5}
         # 1.5 below the first v_e level, 9.0, no cell lies within one step:
-        # the j = 1 v_e window is (0, -2), and range(0, -1) is empty
+        # the j = 1 v_e window is the empty window (0, -1)
         below = (9.0 - 3 * 0.5, 5.5, 13.5, -0.05)
-        assert sp.box_windows(below, 1)[0] == (0, -2)
+        assert sp.box_windows(below, 1)[0] == (0, -1)
         assert sp.neighborhood(below, 1) == []
 
     @given(st.integers(0, 35), st.integers(1, 8))
@@ -174,16 +174,13 @@ def clamp(space, point):
 
 def level_window_reference(spec, center, radius):
     """The per-axis window rule as a ParamSpec method once computed it: the
-    inclusive level range whose values lie in [center - radius, center + radius]."""
-    if spec.levels == 1:
-        if abs(spec.start - center) <= radius + EPS:
-            return (0, 0)
-        return (0, -1)
+    inclusive level range whose values lie in [center - radius, center + radius],
+    or (0, -1) when no level does."""
     a = (center - radius - spec.start) / spec.step
     b = (center + radius - spec.start) / spec.step
-    klo = math.ceil(min(a, b) - EPS)
-    khi = math.floor(max(a, b) + EPS)
-    return (max(klo, 0), min(khi, spec.levels - 1))
+    klo = max(math.ceil(min(a, b) - EPS), 0)
+    khi = min(math.floor(max(a, b) + EPS), spec.levels - 1)
+    return (klo, khi) if klo <= khi else (0, -1)
 
 
 axis_specs = st.builds(
@@ -219,7 +216,12 @@ class TestBoxWindows:
         space, point = space_point
         expected = [level_window_reference(spec, p, j * spec.gamma)
                     for spec, p in zip(space.specs, point)]
-        assert space.box_windows(point, j) == expected
+        windows = space.box_windows(point, j)
+        assert windows == expected
+        # a slice of the axis table holds exactly the window's levels: it
+        # never wraps, as values[0:-1] would for a window (0, -2)
+        for spec, (lo, hi) in zip(space.specs, windows):
+            assert len(spec.values[lo:hi + 1]) == len(range(lo, hi + 1))
 
     @pytest.mark.parametrize("j", [1, 2, 5])
     def test_default_grid_points(self, j):
