@@ -103,7 +103,6 @@ def write_oracle(space, gttc: list[float], out_dir: str) -> str:
 def run_experiment(config: ExperimentConfig, out_dir: str) -> dict[RunKey, RunResult]:
     """Run every (algorithm, seed) pair plus the ground-truth oracle, write the
     full CSV bundle into out_dir and return the runs."""
-    os.makedirs(out_dir, exist_ok=True)
     gttc = brute_force_oracle(
         config.space, config.sim, config.ego, config.oracle_seed, config.workers
     )

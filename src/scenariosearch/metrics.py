@@ -6,6 +6,7 @@ from collections.abc import Iterable
 
 from .risk import SAFETY_CRITICAL, ScenarioClass
 
+# every map comes from classified_sets, so it holds a set for every class
 ClassifiedSets = dict[ScenarioClass, set[int]]
 
 
@@ -22,7 +23,7 @@ def proportion(sets: ClassifiedSets) -> dict[ScenarioClass, float]:
     total = sum(len(s) for s in sets.values())
     if total == 0:
         raise ValueError("empty archive: proportions undefined")
-    return {c: len(sets.get(c, set())) / total for c in ScenarioClass}
+    return {c: len(sets[c]) / total for c in ScenarioClass}
 
 
 def coverage(
@@ -30,12 +31,10 @@ def coverage(
 ) -> float | None:
     """Fraction of the cross-algorithm union of class `cls` that `algorithm`
     found. None when no compared algorithm found the class."""
-    union: set[int] = set()
-    for sets in all_sets.values():
-        union |= sets.get(cls, set())
+    union = set().union(*(sets[cls] for sets in all_sets.values()))
     if not union:
         return None
-    return len(all_sets[algorithm].get(cls, set())) / len(union)
+    return len(all_sets[algorithm][cls]) / len(union)
 
 
 def coverage_vs_oracle(
@@ -47,14 +46,11 @@ def coverage_vs_oracle(
     class the algorithm's own (differently seeded) evaluation gave them; None
     when the oracle found no scenario of that class.
     """
-    population = oracle_sets.get(cls, set())
+    population = oracle_sets[cls]
     if not population:
         return None
     return len(population & set().union(*sets.values())) / len(population)
 
 
 def safety_critical_union(sets: ClassifiedSets) -> set[int]:
-    out: set[int] = set()
-    for c in SAFETY_CRITICAL:
-        out |= sets.get(c, set())
-    return out
+    return set().union(*(sets[c] for c in SAFETY_CRITICAL))

@@ -116,7 +116,8 @@ _THETA = {
 
 
 def score_delta(old: float, new: float, accepted: bool) -> float:
-    # BudgetedEvaluator.evaluate has checked old; classify checks new here
+    # BudgetedEvaluator.evaluate checked both values where they entered;
+    # classify here only picks new's _THETA row
     improved, acc, rej = _THETA[classify(new)]
     if new < old:
         return improved

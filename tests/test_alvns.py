@@ -1,4 +1,3 @@
-import functools
 import os
 
 import numpy as np
@@ -10,18 +9,13 @@ from scenariosearch import operators as ops
 from scenariosearch.alvns import SearchConfig, run_alvns_sa, vns_repair
 from scenariosearch.config import load_config
 from scenariosearch.engine import Archive, BudgetedEvaluator, InvariantError
-from scenariosearch.experiment import log_lines
+from scenariosearch.experiment import log_lines, make_evaluator
 from scenariosearch.risk import INF
 from scenariosearch.rng import make_generator
-from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
 from scenariosearch.space import ParamSpec, ScenarioSpace
 
-TOY = ScenarioSpace([
-    ParamSpec("v_e", 9.0, 3.0, 3),
-    ParamSpec("v_o", 5.5, 4.0, 3),
-    ParamSpec("d", 13.5, 10.0, 2),
-    ParamSpec("a", -0.05, -1.6, 2),
-])
+TOY_CONFIG = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg"))
+TOY = TOY_CONFIG.space
 # one-level, step-0 deceleration axis
 FLAT_A = ScenarioSpace([
     ParamSpec("v_e", 9.0, 3.0, 3),
@@ -37,15 +31,12 @@ LONE_A = ScenarioSpace([
     ParamSpec("d", 13.5, 1.0, 9),
     ParamSpec("a", -0.85, -0.2, 1),
 ])
-QUIET = SimConfig(sigma=0.0)
 DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
 DEFAULT_SPACE = load_config(DEFAULT_CFG).space
 
 
-def toy_evaluator(run_seed=0, sim=QUIET):
-    return functools.partial(evaluate, sim_config=sim,
-                             ego_config=EgoControllerConfig(),
-                             run_seed=run_seed)
+def toy_evaluator():
+    return make_evaluator(TOY_CONFIG, 0)
 
 
 def sample_point(space, rng, margin=0.0):

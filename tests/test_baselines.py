@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import hashlib
 import math
 import os
@@ -22,16 +21,10 @@ from scenariosearch.config import load_config
 from scenariosearch.engine import Archive, InvariantError
 from scenariosearch.experiment import log_lines, make_evaluator, run_search
 from scenariosearch.rng import make_generator
-from scenariosearch.sim import EgoControllerConfig, SimConfig, evaluate
 from scenariosearch.space import ParamSpec, ScenarioSpace
 
-TOY = ScenarioSpace([
-    ParamSpec("v_e", 9.0, 3.0, 3),
-    ParamSpec("v_o", 5.5, 4.0, 3),
-    ParamSpec("d", 13.5, 10.0, 2),
-    ParamSpec("a", -0.05, -1.6, 2),
-])
-QUIET = SimConfig(sigma=0.0)
+TOY_CONFIG = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg"))
+TOY = TOY_CONFIG.space
 DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
 # sha256 of the log lines of GA on configs/default.cfg, seed 101, budget
 # 2,000, sigma 0.1; about 1,500 of its children are redirected to the
@@ -46,10 +39,8 @@ LOG_SHA256 = {
 }
 
 
-def toy_evaluator(run_seed=0):
-    return functools.partial(evaluate, sim_config=QUIET,
-                             ego_config=EgoControllerConfig(),
-                             run_seed=run_seed)
+def toy_evaluator():
+    return make_evaluator(TOY_CONFIG, 0)
 
 
 @pytest.mark.parametrize("algorithm", LOG_SHA256)

@@ -2,7 +2,6 @@
 retest, an exact budget, and evaluator failures recorded, not raised out of
 the driver."""
 
-import functools
 import math
 import os
 import subprocess
@@ -13,20 +12,17 @@ import pytest
 import scenariosearch
 from scenariosearch.alvns import SearchConfig, run_alvns_sa
 from scenariosearch.baselines import GAConfig, run_alns_sa, run_ga, run_random
+from scenariosearch.config import load_config
 from scenariosearch.engine import (Archive, BudgetedEvaluator, EvaluationFailure,
                                    InvariantError, RunStopped)
+from scenariosearch.experiment import make_evaluator
 from scenariosearch.rng import make_generator
-from scenariosearch.sim import EgoControllerConfig, EvaluationResult, SimConfig, evaluate
+from scenariosearch.sim import EvaluationResult
 from scenariosearch.space import ParamSpec, ScenarioSpace
 
-TOY = ScenarioSpace([
-    ParamSpec("v_e", 9.0, 3.0, 3),
-    ParamSpec("v_o", 5.5, 4.0, 3),
-    ParamSpec("d", 13.5, 10.0, 2),
-    ParamSpec("a", -0.05, -1.6, 2),
-])
-GOOD = functools.partial(evaluate, sim_config=SimConfig(sigma=0.0),
-                         ego_config=EgoControllerConfig(), run_seed=0)
+TOY_CONFIG = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg"))
+TOY = TOY_CONFIG.space
+GOOD = make_evaluator(TOY_CONFIG, 0)
 
 RUNNERS = {
     "random": lambda ev: run_random(20, TOY, ev, seed=1),

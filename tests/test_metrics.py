@@ -5,6 +5,7 @@ import pytest
 
 from scenariosearch.baselines import run_random
 from scenariosearch.metrics import (
+    classified_sets,
     coverage,
     coverage_vs_oracle,
     proportion,
@@ -22,7 +23,7 @@ def sets_of(**kw):
         "crash": C.CRASH, "near": C.NEAR_CRASH, "high": C.HIGH_RISK,
         "risk": C.RISK, "free": C.RISK_FREE,
     }
-    return {names[k]: set(v) for k, v in kw.items()}
+    return classified_sets((names[k], i) for k, v in kw.items() for i in v)
 
 
 class TestProportion:
@@ -122,4 +123,4 @@ class TestSafetyCriticalUnion:
         assert got == expected
 
     def test_empty(self):
-        assert safety_critical_union({}) == set()
+        assert safety_critical_union(sets_of()) == set()
