@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import operators as ops
-from .engine import BudgetedEvaluator, InvariantError, RunResult, RunStopped, capped
+from .engine import BudgetedEvaluator, EvaluationFailure, InvariantError, RunResult, capped
 from .risk import classify
 from .rng import make_generator
 from .sim import EvaluationResult
@@ -74,7 +74,7 @@ def run_alvns_sa(
     drv = BudgetedEvaluator(space, evaluator, config.budget)
     bank = ops.init_bank()
 
-    with contextlib.suppress(RunStopped):
+    with contextlib.suppress(EvaluationFailure):
         current = space.index_to_scenario(int(rng.integers(space.cardinality)))
         cur_res = drv.evaluate(current)
         t_current = config.t_begin

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import operators as ops
 from .alvns import SearchConfig, run_alvns_sa
-from .engine import BudgetedEvaluator, InvariantError, RunResult, RunStopped, capped
+from .engine import BudgetedEvaluator, EvaluationFailure, InvariantError, RunResult, capped
 from .rng import make_generator
 from .sim import EvaluationResult
 from .space import ContinuousPoint, Scenario, ScenarioSpace, require_finite
@@ -32,7 +32,7 @@ def run_random(
     indices, evaluated up to the budget."""
     rng = make_generator(seed)
     drv = BudgetedEvaluator(space, evaluator, budget)
-    with contextlib.suppress(RunStopped):
+    with contextlib.suppress(EvaluationFailure):
         for idx in rng.permutation(space.cardinality)[: drv.budget]:
             scenario = space.index_to_scenario(int(idx))
             drv.log(scenario, drv.evaluate(scenario), accepted=True)
@@ -84,7 +84,7 @@ def run_ga(
         return capped(res.gttc_min), idx
 
     generation = 0
-    with contextlib.suppress(RunStopped):
+    with contextlib.suppress(EvaluationFailure):
         size = min(config.population, drv.budget)
         # the whole permutation is drawn, whatever the population size
         population = [evaluated(idx)

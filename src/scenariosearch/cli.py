@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ALGORITHMS, load_config
@@ -64,6 +65,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse printed --help or its usage error
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
+        # a file in --out's way fails here, before any evaluation; report has no --out
+        path = os.path.abspath(getattr(args, "out", "/"))
+        while not os.path.exists(path):
+            path = os.path.dirname(path)
+        if not os.path.isdir(path):
+            raise ConfigurationError(f"--out: {path} is not a directory")
         if args.command == "enumerate":
             config = load_config(args.config)
             print(f"{config.space.cardinality} scenarios")

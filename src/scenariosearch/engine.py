@@ -28,11 +28,6 @@ class InvariantError(RuntimeError):
     failure."""
 
 
-class RunStopped(Exception):
-    """The evaluator failed and `BudgetedEvaluator.failure` records it: the
-    campaign ends, and its driver returns the rows logged so far."""
-
-
 class Archive:
     """Set of tested scenario indices with nearest-untested queries.
 
@@ -147,9 +142,12 @@ class LogRow:
     t_current: float | None
 
 
-@dataclass(frozen=True)
-class EvaluationFailure:
-    """The exception an evaluation raised, and the scenario it raised on."""
+# Not frozen, since a pool worker sets an exception's __traceback__; built
+# with positional arguments, since unpickling passes an exception its args.
+@dataclass
+class EvaluationFailure(Exception):
+    """The exception an evaluation raised, and the scenario it raised on:
+    raised itself, it ends a search campaign or the oracle."""
 
     scenario_index: int
     error_type: str
@@ -162,7 +160,7 @@ class EvaluationFailure:
 class BudgetedEvaluator:
     """Wraps the scenario evaluator with the no-retest archive, the budget,
     the evaluation log and the capture of evaluator failures. A driver runs
-    its campaign under `contextlib.suppress(RunStopped)` and then returns
+    its campaign under `contextlib.suppress(EvaluationFailure)`, then returns
     `result()`, so an evaluator failure ends every search in this one place."""
 
     def __init__(
@@ -185,9 +183,9 @@ class BudgetedEvaluator:
 
     def evaluate(self, scenario: Scenario) -> EvaluationResult:
         """The evaluator's result. If the evaluator raises, or its GTTC_min
-        fails `classify` (NaN or negative), the error is recorded in `failure`
-        and RunStopped is raised from it, for the driver to suppress. A budget
-        overrun or a retest raises InvariantError before the evaluator runs."""
+        fails `classify` (NaN or negative), an EvaluationFailure naming it is
+        kept in `failure` and raised from it, for the driver to suppress. A
+        budget overrun or a retest raises InvariantError before the evaluator runs."""
         if self.remaining <= 0:
             raise InvariantError("evaluation budget exhausted")
         self.archive.add(scenario.index)
@@ -197,7 +195,7 @@ class BudgetedEvaluator:
             return res
         except Exception as exc:  # the evaluator is a black box
             self.failure = EvaluationFailure(scenario.index, type(exc).__name__, str(exc))
-            raise RunStopped(str(self.failure)) from exc
+            raise self.failure from exc
 
     def log(self, scenario: Scenario, res: EvaluationResult, accepted: bool,
             destroy_op: int | None = None, repair_op: int | None = None,

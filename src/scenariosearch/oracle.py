@@ -41,8 +41,7 @@ def _evaluate_range(
             gttc.append(evaluate(scenario, sim_config, ego_config, run_seed).gttc_min)
             classify(gttc[-1])  # a NaN or negative value fails as a raise does
         except Exception as exc:  # name the scenario, as a failed search run does
-            failure = EvaluationFailure(i, type(exc).__name__, str(exc))
-            raise RuntimeError(str(failure)) from exc
+            raise EvaluationFailure(i, type(exc).__name__, str(exc)) from exc
     return gttc
 
 

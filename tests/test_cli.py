@@ -202,6 +202,22 @@ class TestCliExitCodes:
         assert "usage: scenariosearch" in captured.err and "error:" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["enumerate", "search", "compare"])
+    def test_out_blocked_by_a_file_exits_1_before_evaluating(self, tmp_path, capsys,
+                                                            command, under):
+        blocker = tmp_path / "oracle.csv"
+        blocker.write_bytes(b"kept\n")
+        out = blocker / "sub" if under else blocker
+        argv = [command, "--config", TOY_CFG, "--out", str(out)]
+        if command == "search":
+            argv += ["--algo", "random", "--seed", "1"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""  # enumerate printed no "36 scenarios"
+        assert "config error: --out: " in captured.err
+        assert blocker.read_bytes() == b"kept\n"
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "usage: scenariosearch" in capsys.readouterr().out

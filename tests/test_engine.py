@@ -13,8 +13,7 @@ import scenariosearch
 from scenariosearch.alvns import SearchConfig, run_alvns_sa
 from scenariosearch.baselines import GAConfig, run_alns_sa, run_ga, run_random
 from scenariosearch.config import load_config
-from scenariosearch.engine import (Archive, BudgetedEvaluator, EvaluationFailure,
-                                   InvariantError, RunStopped)
+from scenariosearch.engine import Archive, BudgetedEvaluator, EvaluationFailure, InvariantError
 from scenariosearch.experiment import make_evaluator
 from scenariosearch.rng import make_generator
 from scenariosearch.sim import EvaluationResult
@@ -77,13 +76,14 @@ def test_ga_failed_run_counts_its_generations(n, generations):
     assert res.extras == {"generations": generations}
 
 
-def test_evaluate_raises_run_stopped_from_the_evaluator_error():
+def test_evaluate_raises_its_recorded_failure_from_the_evaluator_error():
     def broken(scenario):
         raise ValueError("bad input")
 
     drv = BudgetedEvaluator(TOY, broken, budget=2)
-    with pytest.raises(RunStopped) as info:
+    with pytest.raises(EvaluationFailure) as info:
         drv.evaluate(TOY.index_to_scenario(3))
+    assert info.value is drv.failure
     assert isinstance(info.value.__cause__, ValueError)
     assert drv.failure == EvaluationFailure(3, "ValueError", "bad input")
     assert 3 in drv.archive and drv.rows == []
@@ -116,8 +116,8 @@ def test_ga_redirect_to_tested_scenario_raises(monkeypatch):
 
 
 def test_alvns_repair_to_tested_scenario_raises():
-    # the same for a repair: the driver's suppress(RunStopped) swallows no
-    # InvariantError
+    # the same for a repair: the driver's suppress(EvaluationFailure) swallows
+    # no InvariantError
     def repair(point, space, archive, bank, rng):
         return space.index_to_scenario(first_tested(archive)), 1
 

@@ -25,6 +25,7 @@ import scenariosearch
 from scenariosearch import oracle
 from scenariosearch.cli import EXIT_RUNTIME, main
 from scenariosearch.config import load_config
+from scenariosearch.engine import EvaluationFailure
 from scenariosearch.experiment import ORACLE_HEADER, fmt, write_oracle
 from scenariosearch.oracle import brute_force_oracle
 from scenariosearch.risk import INF, classify
@@ -193,9 +194,11 @@ def diverging_config(tmp_path, workers) -> str:
 def test_failure_names_the_first_failing_scenario(tmp_path, workers):
     config = load_config(diverging_config(tmp_path, workers))
     assert config.space.cardinality > 2 * oracle._CHUNK
-    with pytest.raises(RuntimeError, match=f"^{DIVERGED}$") as info:
+    with pytest.raises(EvaluationFailure, match=f"^{DIVERGED}$") as info:
         brute_force_oracle(config.space, config.sim, config.ego, config.oracle_seed,
                            workers)
+    # at 2 workers, the failure was pickled out of a worker with its fields
+    assert info.value == EvaluationFailure(2560, "FloatingPointError", "state diverged")
     if workers == 1:  # in-process, the evaluator's own error is the cause
         assert type(info.value.__cause__) is FloatingPointError
 
@@ -236,7 +239,7 @@ def test_a_failure_stops_the_pool(monkeypatch):
 
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", ThreadPoolExecutor)
     monkeypatch.setattr(oracle, "evaluate", stand_in)
-    with pytest.raises(RuntimeError, match="^scenario 0: FloatingPointError: "):
+    with pytest.raises(EvaluationFailure, match="^scenario 0: FloatingPointError: "):
         brute_force_oracle(space, SIM, EGO, RUN_SEED, workers)
     assert calls <= (workers + 1) * oracle._CHUNK
 
@@ -252,8 +255,10 @@ def rejected_at(k, value):
 def test_a_rejected_value_names_its_scenario(monkeypatch, value):
     monkeypatch.setattr(oracle, "evaluate", rejected_at(2100, value))
     message = f"scenario 2100: ValueError: GTTC_min must be >= 0, got {value}"
-    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$") as info:
+    with pytest.raises(EvaluationFailure, match=f"^{re.escape(message)}$") as info:
         brute_force_oracle(SPACE, SIM, EGO, RUN_SEED, 1)
+    assert info.value == EvaluationFailure(2100, "ValueError",
+                                           f"GTTC_min must be >= 0, got {value}")
     assert type(info.value.__cause__) is ValueError
 
 
