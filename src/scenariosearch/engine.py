@@ -18,6 +18,12 @@ from .space import ContinuousPoint, Scenario, ScenarioSpace
 F_CAP = 1e6
 
 
+# Width, in squared steps, of the distance band that nearest_untested keeps
+# per query point: a wider band recomputes fewer lists, but on the default
+# grid holds more cells (about 255k at 16, a threat to peak memory).
+NEAREST_BAND = 4.0
+
+
 def capped(gttc_min_value: float) -> float:
     return min(gttc_min_value, F_CAP)
 
@@ -34,7 +40,9 @@ class Archive:
     Its whole state is the penalty grid, 0.0 where a scenario is untested and
     INF where tested, and the untested count of each row of the grid (a row
     is one block of the last two axes), with count, the number tested.
-    add() is the only writer of all three.
+    add() is the only writer of all three. Besides that state, the archive
+    keeps state derived from it: nearest_untested's candidate cells per query
+    point, which only speed up a repeated query and die with the archive.
 
     The grids (penalty, flat-index table) are stored last axis first,
     (n_last, n0, n1, n2): with the short last axis (9 levels on the default
@@ -59,6 +67,8 @@ class Archive:
         flat = np.arange(space.cardinality).reshape(space.shape)
         self._flat = np.ascontiguousarray(np.moveaxis(flat, -1, 0))
         self.count = 0
+        # nearest_untested's candidates per query point, nearest first
+        self._nearest: dict[tuple[float, ...], np.ndarray] = {}
 
     def __contains__(self, idx: int) -> bool:
         # .item and .flat would wrap a negative index, so range-check first
@@ -107,15 +117,31 @@ class Archive:
 
     def nearest_untested(self, point: ContinuousPoint) -> int:
         """Globally nearest untested scenario, ties by smaller flat index:
-        for a point inside the grid, untested_in_box(point, max_ring)[0]."""
+        for a point inside the grid, untested_in_box(point, max_ring)[0].
+
+        A query point's first answer comes from a full-grid _dist2 with
+        minimum dmin: the cells with dist2 <= dmin + NEAREST_BAND, in
+        (dist2, flat index) order, are kept under the point, and a repeated
+        query returns the first of them still untested. That is the exact
+        answer. A cell's distance from a fixed point never changes, and add,
+        the only writer, never un-tests a cell, so the kept cells keep their
+        order and only lose members. Every cell left out was tested or lies
+        beyond dmin + NEAREST_BAND, farther than every kept cell. Once every
+        kept cell is tested, the list is computed afresh."""
         if self.count == self.space.cardinality:
             raise InvariantError("every scenario has been tested")
+        key = tuple(point)
+        cells = self._nearest.get(key, ())
+        for i, idx in enumerate(cells):
+            if self._grid.item(idx) != INF:
+                self._nearest[key] = cells[i:]
+                return int(idx)
         whole = (slice(None),) * len(self.space.shape)
         dist2, flats = self._dist2(point, whole)
-        # the stored order is not flat-index order, so argmin's cell is one
-        # of the nearest, and the smallest flat index among all of them wins
-        ties = np.flatnonzero(dist2 == dist2[dist2.argmin()])
-        return int(flats[ties].min())
+        near = np.flatnonzero(dist2 <= dist2.min() + NEAREST_BAND)
+        cells = flats[near[np.lexsort((flats[near], dist2[near]))]]
+        self._nearest[key] = cells
+        return int(cells[0])
 
     def nth_untested(self, n: int) -> int:
         """Flat index of the nth untested scenario (0-based) in flat-index

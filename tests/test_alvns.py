@@ -1,14 +1,15 @@
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scenariosearch import operators as ops
 from scenariosearch.alvns import SearchConfig, run_alvns_sa, vns_repair
 from scenariosearch.config import load_config
-from scenariosearch.engine import Archive, BudgetedEvaluator, InvariantError
+from scenariosearch.engine import NEAREST_BAND, Archive, BudgetedEvaluator, InvariantError
 from scenariosearch.experiment import log_lines, make_evaluator
 from scenariosearch.risk import INF
 from scenariosearch.rng import make_generator
@@ -420,10 +421,9 @@ def dist2_reference(space, tested, point, block):
 
 
 @st.composite
-def archive_points(draw):
-    """A grid with a seeded tested set, and a point on a level, off the grid
-    inside or outside its hull (off a one-level axis too), maybe clamped."""
-    space = draw(st.sampled_from((TOY, FLAT_A, DEFAULT_SPACE)))
+def query_points(draw, space):
+    """A point on a level, off the grid inside or outside its hull (off a
+    one-level axis too), maybe clamped."""
     point = []
     for spec in space.specs:
         if draw(st.booleans()):
@@ -433,9 +433,36 @@ def archive_points(draw):
             point.append(draw(st.floats(spec.lo - margin, spec.hi + margin)))
     if draw(st.booleans()):
         point = [min(max(v, spec.lo), spec.hi) for spec, v in zip(space.specs, point)]
+    return tuple(point)
+
+
+@st.composite
+def archive_points(draw):
+    """A grid with a seeded tested set, and a query point."""
+    space = draw(st.sampled_from((TOY, FLAT_A, DEFAULT_SPACE)))
+    point = draw(query_points(space))
     fill = draw(st.sampled_from((0.0, 0.3, 0.9)))
     order = make_generator(draw(st.integers(0, 2**32 - 1))).permutation(space.cardinality)
-    return space, order[: int(fill * space.cardinality)].tolist(), tuple(point)
+    return space, order[: int(fill * space.cardinality)].tolist(), point
+
+
+@st.composite
+def ball_queries(draw):
+    """A grid with every cell within r levels of a node tested (none at
+    r = 0), and three query points: the node, whose nearest untested cells
+    tie on the shell around the ball, and two drawn by query_points."""
+    space = draw(st.sampled_from((DEFAULT_SPACE, TOY, FLAT_A, LONE_A)))
+    node = draw(st.one_of(
+        st.sampled_from((tuple(n // 2 for n in space.shape), (0, 0, 0, 0))),
+        st.tuples(*[st.integers(0, n - 1) for n in space.shape])))
+    r = draw(st.integers(0, 7))
+    levels = np.indices(space.shape).reshape(4, -1)
+    r2 = sum((k - c) ** 2 for k, c in zip(levels, node))
+    tested = np.flatnonzero(r2 <= r * r).tolist() if r else []
+    assume(len(tested) < space.cardinality)
+    points = [space.scenario_from_levels(node).coords]
+    points += [draw(query_points(space)) for _ in range(2)]
+    return space, tested, points, draw(st.integers(0, 2**32 - 1))
 
 
 # one-level first, second and last axes; with a one-level second axis the
@@ -476,6 +503,47 @@ class TestArchiveBits:
             expected = dist2_reference(space, tested, point, block).tolist()
             assert got == dict(zip(flat[block].ravel().tolist(),
                                    (x.hex() for x in expected)))
+
+    @given(ball_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_nearest_untested_cache_is_exact(self, case):
+        # queries repeat three points while adds drain the cells cached for
+        # them, until each point's cached list has run out and been computed
+        # again (a second full-grid query) or the grid is full; every pick
+        # must be the exact (dist2, flat index) minimum, which argmin takes
+        # from the flat-order reference
+        space, tested, points, seed = case
+        archive = Archive(space)
+        for k in tested:
+            archive.add(k)
+        whole = (slice(None),) * 4
+        untested_dist2 = {p: dist2_reference(space, (), p, whole) for p in points}
+        penalty = np.zeros(space.cardinality)
+        penalty[tested] = INF
+        full_queries = Counter()
+        dist2 = archive._dist2
+
+        def counted_dist2(point, block):
+            full_queries[tuple(point)] += block == whole
+            return dist2(point, block)
+
+        archive._dist2 = counted_dist2
+        rng = make_generator(seed)
+        while (archive.count < space.cardinality
+               and min(full_queries[p] for p in points) < 2):
+            point = points[int(rng.integers(len(points)))]
+            ref = untested_dist2[point] + penalty
+            pick = archive.nearest_untested(point)
+            assert pick == int(np.argmin(ref))
+            # test the pick or leave it for the next query, and some of the
+            # cells tied with it or within the cache's band behind it
+            band = np.flatnonzero(ref <= ref[pick] + NEAREST_BAND)
+            drained = set(band[rng.random(band.size) < 0.4].tolist())
+            if rng.random() < 0.7:
+                drained.add(pick)
+            for k in drained:
+                archive.add(k)
+                penalty[k] = INF
 
     @given(small_grids(), st.data())
     @settings(max_examples=60, deadline=None)
