@@ -22,13 +22,11 @@ from .space import ContinuousPoint, Scenario, ScenarioSpace, require_finite
 
 @dataclass(frozen=True)
 class SearchConfig:
-    budget: int = 11_000
     t_begin: float = 1.0
     t_end: float = 0.01
     alpha: float = 0.95
     rho: float = 0.3
     rejection_threshold: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         require_finite(self)
@@ -66,12 +64,14 @@ def run_alvns_sa(
     config: SearchConfig,
     space: ScenarioSpace,
     evaluator: Callable[[Scenario], EvaluationResult],
+    budget: int,
+    seed: int,
     repair=vns_repair,
 ) -> RunResult:
     """Algorithm driver; `repair` is swappable so the no-VNS variant can
     reuse the identical loop."""
-    rng = make_generator(config.seed)
-    drv = BudgetedEvaluator(space, evaluator, config.budget)
+    rng = make_generator(seed)
+    drv = BudgetedEvaluator(space, evaluator, budget)
     bank = ops.init_bank()
 
     with contextlib.suppress(EvaluationFailure):

@@ -46,7 +46,6 @@ class GAConfig:
     mutation: float = 0.05
     generations: int = 1500
     budget: int = 11_000
-    seed: int = 0
 
     def __post_init__(self):
         require_finite(self)
@@ -63,6 +62,7 @@ def run_ga(
     config: GAConfig,
     space: ScenarioSpace,
     evaluator: Callable[[Scenario], EvaluationResult],
+    seed: int,
 ) -> RunResult:
     """Generational GA minimizing GTTC_min over 4-gene grid scenarios.
 
@@ -74,7 +74,7 @@ def run_ga(
     Survivors are the population-size lowest-f individuals of parents plus
     children.
     """
-    rng = make_generator(config.seed)
+    rng = make_generator(seed)
     drv = BudgetedEvaluator(space, evaluator, config.budget)
 
     def evaluated(idx: int) -> tuple[float, int]:
@@ -157,5 +157,7 @@ def run_alns_sa(
     config: SearchConfig,
     space: ScenarioSpace,
     evaluator: Callable[[Scenario], EvaluationResult],
+    budget: int,
+    seed: int,
 ) -> RunResult:
-    return run_alvns_sa(config, space, evaluator, repair=alns_repair)
+    return run_alvns_sa(config, space, evaluator, budget, seed, repair=alns_repair)

@@ -4,7 +4,7 @@ section per subsystem. See configs/default.cfg for the documented schema."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .alvns import SearchConfig
 from .baselines import GAConfig
@@ -50,12 +50,6 @@ class ExperimentConfig:
                 f"[run] budget {self.budget} must be in [1, {self.space.cardinality}]")
         resolve_workers(self.workers)
 
-    def search_config(self, seed: int) -> SearchConfig:
-        return replace(self.search, budget=self.budget, seed=seed)
-
-    def ga_config(self, seed: int) -> GAConfig:
-        return replace(self.ga, budget=self.budget, seed=seed)
-
 
 def _parse_axis(name: str, text: str) -> ParamSpec:
     parts = text.split(":")
@@ -72,9 +66,9 @@ def _parse_axis(name: str, text: str) -> ParamSpec:
 
 def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not parser.read(path):
-        raise ConfigurationError(f"config file not found: {path}")
     try:
+        if not parser.read(path):
+            raise ConfigurationError(f"config file not found: {path}")
         return _build(parser)
     except ConfigurationError:
         raise
@@ -116,14 +110,14 @@ def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigurationError(f"missing section(s): {', '.join(missing)}")
 
     _check_keys(parser, "space", PARAM_NAMES)
-    space = ScenarioSpace([_parse_axis(name, parser["space"][name])
+    space = ScenarioSpace([_parse_axis(name, parser["space"].get(name, ""))
                            for name in PARAM_NAMES])
-    # a search's budget and seed come from [run], per run, so its section
-    # does not take them
-    search, ga = (_read_section(parser, section, cls, budget=cls.budget, seed=cls.seed)
-                  for section, cls in (("alvns_sa", SearchConfig), ("ga", GAConfig)))
     return _read_section(
         parser, "run", ExperimentConfig, space=space,
         sim=_read_section(parser, "sim", SimConfig),
         ego=_read_section(parser, "ego", EgoControllerConfig),
-        search=search, ga=ga)
+        search=_read_section(parser, "alvns_sa", SearchConfig),
+        # GA's budget comes from [run], so [ga] does not take it; it stays a
+        # GAConfig field because the benchmark's tracer reads it from
+        # run_ga's first argument
+        ga=_read_section(parser, "ga", GAConfig, budget=GAConfig.budget))

@@ -4,6 +4,7 @@ plain-text comparison report."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import itertools
 import os
@@ -54,11 +55,12 @@ def make_evaluator(config: ExperimentConfig, run_seed: int):
 def run_search(config: ExperimentConfig, algorithm: str, seed: int) -> RunResult:
     evaluator = make_evaluator(config, seed)
     if algorithm == "alvns-sa":
-        return run_alvns_sa(config.search_config(seed), config.space, evaluator)
+        return run_alvns_sa(config.search, config.space, evaluator, config.budget, seed)
     if algorithm == "alns-sa":
-        return run_alns_sa(config.search_config(seed), config.space, evaluator)
+        return run_alns_sa(config.search, config.space, evaluator, config.budget, seed)
     if algorithm == "ga":
-        return run_ga(config.ga_config(seed), config.space, evaluator)
+        return run_ga(dataclasses.replace(config.ga, budget=config.budget),
+                      config.space, evaluator, seed)
     if algorithm == "random":
         return run_random(config.budget, config.space, evaluator, seed)
     raise ValueError(f"unknown algorithm {algorithm!r}")

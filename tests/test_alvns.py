@@ -60,8 +60,7 @@ def dist2(space, point, k):
 
 
 def run(budget, seed=1, space=TOY, **kw):
-    cfg = SearchConfig(budget=budget, seed=seed, **kw)
-    return run_alvns_sa(cfg, space, toy_evaluator())
+    return run_alvns_sa(SearchConfig(**kw), space, toy_evaluator(), budget, seed)
 
 
 class TestVnsRepair:
@@ -218,7 +217,7 @@ class TestRunAlvnsSa:
                 raise RuntimeError("simulator crashed")
             return good(scenario)
 
-        res = run_alvns_sa(SearchConfig(budget=20, seed=1), TOY, flaky)
+        res = run_alvns_sa(SearchConfig(), TOY, flaky, budget=20, seed=1)
         assert res.failure is not None
         assert res.n_evaluations == 3
 
@@ -388,7 +387,8 @@ class TestArchive:
                             == sorted(box, key=key))
 
     def test_box_result_outlives_later_queries(self):
-        # full-grid queries share one scratch buffer; no result may alias it
+        # a box result is a fresh array: no later query, though it reads the
+        # archive's own tables, may change it
         rng = make_generator(18)
         space = DEFAULT_SPACE
         archive = Archive(space)

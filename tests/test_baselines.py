@@ -90,8 +90,8 @@ class TestRandom:
 class TestGA:
     def test_no_variation_archives_one_population(self):
         cfg = GAConfig(population=6, crossover=0.0, mutation=0.0,
-                       generations=50, budget=36, seed=1)
-        res = run_ga(cfg, TOY, toy_evaluator())
+                       generations=50, budget=36)
+        res = run_ga(cfg, TOY, toy_evaluator(), seed=1)
         assert res.n_evaluations == 6
 
     def test_exhausts_tiny_grid(self):
@@ -101,25 +101,25 @@ class TestGA:
             ParamSpec("d", 13.5, 10.0, 1),
             ParamSpec("a", -0.05, -1.6, 1),
         ])
-        cfg = GAConfig(population=2, generations=50, budget=2, seed=1)
-        res = run_ga(cfg, tiny, toy_evaluator())
+        cfg = GAConfig(population=2, generations=50, budget=2)
+        res = run_ga(cfg, tiny, toy_evaluator(), seed=1)
         assert sorted(res.archive_order) == [0, 1]
 
     def test_budget_exact(self):
-        cfg = GAConfig(population=6, generations=1000, budget=30, seed=2)
-        res = run_ga(cfg, TOY, toy_evaluator())
+        cfg = GAConfig(population=6, generations=1000, budget=30)
+        res = run_ga(cfg, TOY, toy_evaluator(), seed=2)
         assert res.n_evaluations == 30
         assert len(set(res.archive_order)) == 30
 
     def test_exhausts_toy_grid(self):
-        cfg = GAConfig(population=6, generations=1000, budget=36, seed=3)
-        res = run_ga(cfg, TOY, toy_evaluator())
+        cfg = GAConfig(population=6, generations=1000, budget=36)
+        res = run_ga(cfg, TOY, toy_evaluator(), seed=3)
         assert sorted(res.archive_order) == list(range(TOY.cardinality))
 
     def test_determinism(self):
-        cfg = GAConfig(population=6, generations=20, budget=30, seed=7)
-        a = run_ga(cfg, TOY, toy_evaluator())
-        b = run_ga(cfg, TOY, toy_evaluator())
+        cfg = GAConfig(population=6, generations=20, budget=30)
+        a = run_ga(cfg, TOY, toy_evaluator(), seed=7)
+        b = run_ga(cfg, TOY, toy_evaluator(), seed=7)
         assert a.archive_order == b.archive_order
 
     def test_campaigns_share_no_nearest_cache(self):
@@ -202,18 +202,16 @@ class TestAlnsRepair:
 
 class TestRunAlnsSa:
     def test_exhausts_toy_grid(self):
-        cfg = SearchConfig(budget=TOY.cardinality, seed=4)
-        res = run_alns_sa(cfg, TOY, toy_evaluator())
+        res = run_alns_sa(SearchConfig(), TOY, toy_evaluator(),
+                          budget=TOY.cardinality, seed=4)
         assert sorted(res.archive_order) == list(range(TOY.cardinality))
 
     def test_determinism(self):
-        cfg = SearchConfig(budget=20, seed=6)
-        a = run_alns_sa(cfg, TOY, toy_evaluator())
-        b = run_alns_sa(cfg, TOY, toy_evaluator())
+        a = run_alns_sa(SearchConfig(), TOY, toy_evaluator(), budget=20, seed=6)
+        b = run_alns_sa(SearchConfig(), TOY, toy_evaluator(), budget=20, seed=6)
         assert a.archive_order == b.archive_order
 
     def test_differs_from_full_variant(self):
         from scenariosearch.alvns import run_alvns_sa
-        cfg = SearchConfig(budget=25, seed=6)
-        assert run_alns_sa(cfg, TOY, toy_evaluator()).archive_order != \
-            run_alvns_sa(cfg, TOY, toy_evaluator()).archive_order
+        assert run_alns_sa(SearchConfig(), TOY, toy_evaluator(), 25, 6).archive_order != \
+            run_alvns_sa(SearchConfig(), TOY, toy_evaluator(), 25, 6).archive_order

@@ -72,8 +72,8 @@ class TestLoadConfig:
         cfg = load_config(str(p))
         assert cfg.sim == SimConfig(t_max=20.0)
         assert cfg.ego == EgoControllerConfig()
-        assert cfg.search_config(3) == SearchConfig(budget=10, seed=3)
-        assert cfg.ga_config(3) == GAConfig(budget=10, seed=3)
+        assert cfg.search == SearchConfig()
+        assert cfg.ga == GAConfig()
 
     @pytest.mark.parametrize("cls, name, value", [
         (SimConfig, "t_max", math.inf),
@@ -102,10 +102,9 @@ class TestLoadConfig:
 
     def test_replaced_budget_reaches_every_search(self):
         cfg = dataclasses.replace(load_config(TOY_CFG), budget=7)
-        # toy.cfg's [alvns_sa] holds SearchConfig's defaults
-        assert cfg.search_config(3) == SearchConfig(budget=7, seed=3)
-        assert cfg.ga_config(3) == GAConfig(population=6, generations=200,
-                                            budget=7, seed=3)
+        runs = {algorithm: experiment.run_search(cfg, algorithm, 3).n_evaluations
+                for algorithm in ALGORITHMS}
+        assert runs == dict.fromkeys(ALGORITHMS, 7)
 
     def test_missing_run_section(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -227,7 +226,13 @@ class TestCliExitCodes:
         ("[space]\n", "[space]\nv_ee = 9.0:3.0:3\n"),
         ("[run]\n", "[run]\nseed = 1\n"),
         ("[ga]\n", "[simm]\nsigma = 0.0\n[ga]\n"),
-    ], ids=["sim-key", "space-key", "run-key", "section"])
+        # the run's budget and seed are [run]'s, never a search section's
+        ("[alvns_sa]\n", "[alvns_sa]\nbudget = 10\n"),
+        ("[alvns_sa]\n", "[alvns_sa]\nseed = 1\n"),
+        ("[ga]\n", "[ga]\nseed = 1\n"),
+        ("[ga]\n", "[ga]\nbudget = 10\n"),
+    ], ids=["sim-key", "space-key", "run-key", "section", "alvns_sa-budget",
+            "alvns_sa-seed", "ga-seed", "ga-budget"])
     def test_config_typo_exits_1(self, tmp_path, capsys, old, new):
         with open(TOY_CFG) as fh:
             text = fh.read()
@@ -239,6 +244,36 @@ class TestCliExitCodes:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and "unknown" in err
+
+    def test_missing_axis_exits_1_naming_it(self, tmp_path, capsys):
+        with open(TOY_CFG) as fh:
+            text = fh.read()
+        p = tmp_path / "bad.cfg"
+        p.write_text(text.replace("d = 13.5:10.0:2\n", ""))
+        out = tmp_path / "out"
+        assert main(["enumerate", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: [space] d: expected start:step:levels, got ''\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("malform", [
+        lambda data: data.replace(b"[space]\n", b""),  # keys before any section header
+        lambda data: data + b"[run]\nbudget = 10\n",
+        lambda data: data.replace(b"budget = 36\n", b"budget = 36\nbudget = 10\n"),
+        lambda data: b"\xff\xfe" + data,
+    ], ids=["no-section-header", "duplicate-section", "duplicate-key", "not-utf8"])
+    def test_malformed_file_exits_1_before_writing(self, tmp_path, capsys, malform):
+        with open(TOY_CFG, "rb") as fh:
+            data = fh.read()
+        assert malform(data) != data
+        p = tmp_path / "malformed.cfg"
+        p.write_bytes(malform(data))
+        out = tmp_path / "out"
+        rc = main(["search", "--config", str(p), "--algo", "random",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["search", "compare"])
     @pytest.mark.parametrize("old, new", [

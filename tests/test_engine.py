@@ -2,6 +2,8 @@
 retest, an exact budget, and evaluator failures recorded, not raised out of
 the driver."""
 
+import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -25,10 +27,25 @@ GOOD = make_evaluator(TOY_CONFIG, 0)
 
 RUNNERS = {
     "random": lambda ev: run_random(20, TOY, ev, seed=1),
-    "ga": lambda ev: run_ga(GAConfig(population=6, budget=20, seed=1), TOY, ev),
-    "alvns-sa": lambda ev: run_alvns_sa(SearchConfig(budget=20, seed=1), TOY, ev),
-    "alns-sa": lambda ev: run_alns_sa(SearchConfig(budget=20, seed=1), TOY, ev),
+    "ga": lambda ev: run_ga(GAConfig(population=6, budget=20), TOY, ev, seed=1),
+    "alvns-sa": lambda ev: run_alvns_sa(SearchConfig(), TOY, ev, budget=20, seed=1),
+    "alns-sa": lambda ev: run_alns_sa(SearchConfig(), TOY, ev, budget=20, seed=1),
 }
+
+
+@pytest.mark.parametrize("driver, config, run_facts", [
+    (run_alvns_sa, SearchConfig(), ["budget", "seed"]),
+    (run_alns_sa, SearchConfig(), ["budget", "seed"]),
+    (run_ga, GAConfig(), ["seed"]),
+], ids=["alvns-sa", "alns-sa", "ga"])
+def test_run_facts_are_required(driver, config, run_facts):
+    # a campaign is fixed by its budget and seed, so a caller that forgets one
+    # gets a TypeError, not seed 0 or 11,000 evaluations
+    params = inspect.signature(driver).parameters
+    assert all(params[name].default is inspect.Parameter.empty for name in run_facts)
+    assert not set(run_facts) & {f.name for f in dataclasses.fields(config)}
+    with pytest.raises(TypeError):
+        driver(config, TOY, GOOD)
 
 
 def failing_at(n, calls, gttc_min=None):
@@ -112,7 +129,7 @@ def test_ga_redirect_to_tested_scenario_raises(monkeypatch):
     # evaluator failure: it must surface, not flag the run invalid
     monkeypatch.setattr(Archive, "nearest_untested", lambda self, point: first_tested(self))
     with pytest.raises(InvariantError, match="already tested"):
-        run_ga(GAConfig(population=6, budget=36, seed=1), TOY, GOOD)
+        run_ga(GAConfig(population=6, budget=36), TOY, GOOD, seed=1)
 
 
 def test_alvns_repair_to_tested_scenario_raises():
@@ -122,7 +139,7 @@ def test_alvns_repair_to_tested_scenario_raises():
         return space.index_to_scenario(first_tested(archive)), 1
 
     with pytest.raises(InvariantError, match="^scenario 17 was already tested$"):
-        run_alvns_sa(SearchConfig(budget=20, seed=1), TOY, GOOD, repair=repair)
+        run_alvns_sa(SearchConfig(), TOY, GOOD, budget=20, seed=1, repair=repair)
 
 
 INVARIANTS_SNIPPET = """
