@@ -65,7 +65,10 @@ def _parse_axis(name: str, text: str) -> ParamSpec:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # No header can spell a default section of "\n", so [DEFAULT] is an
+    # ordinary section, which _build rejects by name.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       default_section="\n")
     try:
         if not parser.read(path):
             raise ConfigurationError(f"config file not found: {path}")

@@ -9,6 +9,7 @@ import functools
 import itertools
 import os
 import statistics
+from collections.abc import Iterable
 
 from . import metrics
 from .baselines import run_alns_sa, run_ga, run_random
@@ -33,12 +34,17 @@ def fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.12g}"
 
 
-def atomic_write(path: str, lines: list[str]) -> None:
+def atomic_write(path: str, lines: Iterable[str]) -> None:
+    """Write each line, newline-terminated, into a temporary file beside
+    path, one line at a time, then rename it onto path. If the lines raise
+    partway, the temporary is removed and path is left as it was. An empty
+    iterable writes an empty file; every caller passes a header line first."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -92,13 +98,14 @@ def write_log(result: RunResult, out_dir: str, algorithm: str, seed: int) -> str
 
 def write_oracle(space, gttc: list[float], out_dir: str) -> str:
     # each axis value is formatted once; product varies the last axis fastest,
-    # as the flat index does, so its tuples come in flat-index order
+    # as the flat index does, so its tuples come in flat-index order. The rows
+    # are made as the file is written, so no list of them is ever held, and a
+    # gttc of the wrong length raises from zip partway, leaving no file.
     cells = itertools.product(*([fmt(v) for v in s.values] for s in space.specs))
-    lines = [ORACLE_HEADER]
-    for i, (coords, g) in enumerate(zip(cells, gttc, strict=True)):
-        lines.append(",".join([str(i), *coords, fmt(g), classify(g).label]))
+    rows = (",".join([str(i), *coords, fmt(g), classify(g).label])
+            for i, (coords, g) in enumerate(zip(cells, gttc, strict=True)))
     path = os.path.join(out_dir, "oracle.csv")
-    atomic_write(path, lines)
+    atomic_write(path, itertools.chain([ORACLE_HEADER], rows))
     return path
 
 

@@ -256,6 +256,22 @@ class TestCliExitCodes:
             "config error: [space] d: expected start:step:levels, got ''\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_default_section_exits_1_naming_it(self, tmp_path, capsys, where):
+        """[DEFAULT] is not configparser's defaults section here: its keys
+        would otherwise be reported as unknown keys of [space]."""
+        with open(TOY_CFG) as fh:
+            text = fh.read()
+        default = "[DEFAULT]\nbudget = 10\n"
+        p = tmp_path / "default.cfg"
+        p.write_text(default + text if where == "first" else text + default)
+        out = tmp_path / "out"
+        rc = main(["search", "--config", str(p), "--algo", "random",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown section(s): DEFAULT\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("malform", [
         lambda data: data.replace(b"[space]\n", b""),  # keys before any section header
         lambda data: data + b"[run]\nbudget = 10\n",
