@@ -92,9 +92,9 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_RUNTIME
         elif args.command == "compare":
             config = load_config(args.config)
-            runs = run_experiment(config, args.out)
-            print(f"wrote bundle to {args.out} ({len(runs)} runs)")
-            failures = {key: run.failure for key, run in runs.items() if run.failure}
+            outcomes = run_experiment(config, args.out)
+            print(f"wrote bundle to {args.out} ({len(outcomes)} runs)")
+            failures = {key: failure for key, failure in outcomes.items() if failure}
             for (algorithm, seed), failure in failures.items():
                 print(f"{algorithm} seed {seed}: run flagged invalid: {failure}",
                       file=sys.stderr)

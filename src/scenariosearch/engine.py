@@ -183,6 +183,19 @@ class EvaluationFailure(Exception):
         return f"scenario {self.scenario_index}: {self.error_type}: {self.message}"
 
 
+def checked(evaluator: Callable[[Scenario], EvaluationResult],
+            scenario: Scenario) -> EvaluationResult:
+    """evaluator(scenario), the one gate on an evaluation in the oracle and every
+    search: a raise, or a GTTC_min that `classify` rejects (NaN or negative),
+    becomes an EvaluationFailure naming the scenario, raised from that error."""
+    try:
+        res = evaluator(scenario)
+        classify(res.gttc_min)  # a NaN or negative GTTC_min fails as a raise does
+        return res
+    except Exception as exc:  # the evaluator is a black box
+        raise EvaluationFailure(scenario.index, type(exc).__name__, str(exc)) from exc
+
+
 class BudgetedEvaluator:
     """Wraps the scenario evaluator with the no-retest archive, the budget,
     the evaluation log and the capture of evaluator failures. A driver runs
@@ -208,20 +221,17 @@ class BudgetedEvaluator:
         return self.budget - self.archive.count
 
     def evaluate(self, scenario: Scenario) -> EvaluationResult:
-        """The evaluator's result. If the evaluator raises, or its GTTC_min
-        fails `classify` (NaN or negative), an EvaluationFailure naming it is
-        kept in `failure` and raised from it, for the driver to suppress. A
+        """The evaluator's result, through `checked`. Its EvaluationFailure is
+        kept in `failure` and raised again, for the driver to suppress. A
         budget overrun or a retest raises InvariantError before the evaluator runs."""
         if self.remaining <= 0:
             raise InvariantError("evaluation budget exhausted")
         self.archive.add(scenario.index)
         try:
-            res = self._evaluator(scenario)
-            classify(res.gttc_min)  # a NaN or negative GTTC_min fails as a raise does
-            return res
-        except Exception as exc:  # the evaluator is a black box
-            self.failure = EvaluationFailure(scenario.index, type(exc).__name__, str(exc))
-            raise self.failure from exc
+            return checked(self._evaluator, scenario)
+        except EvaluationFailure as failure:
+            self.failure = failure
+            raise
 
     def log(self, scenario: Scenario, res: EvaluationResult, accepted: bool,
             destroy_op: int | None = None, repair_op: int | None = None,

@@ -9,13 +9,13 @@ import functools
 import itertools
 import os
 import statistics
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from . import metrics
 from .baselines import run_alns_sa, run_ga, run_random
 from .alvns import run_alvns_sa
 from .config import ExperimentConfig
-from .engine import RunResult
+from .engine import EvaluationFailure, RunResult
 from .oracle import brute_force_oracle, oracle_classified_sets
 from .risk import ScenarioClass, classify
 from .sim import evaluate
@@ -72,11 +72,11 @@ def run_search(config: ExperimentConfig, algorithm: str, seed: int) -> RunResult
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def log_lines(result: RunResult) -> list[str]:
-    lines = [LOG_HEADER]
+def log_lines(result: RunResult) -> Iterator[str]:
+    yield LOG_HEADER
     for i, row in enumerate(result.rows):
         s = row.scenario
-        lines.append(",".join([
+        yield ",".join([
             str(i),
             str(s.index),
             fmt(s.v_e), fmt(s.v_o), fmt(s.d), fmt(s.a),
@@ -86,8 +86,7 @@ def log_lines(result: RunResult) -> list[str]:
             str(row.destroy_op) if row.destroy_op is not None else "",
             str(row.repair_op) if row.repair_op is not None else "",
             fmt(row.t_current),
-        ]))
-    return lines
+        ])
 
 
 def write_log(result: RunResult, out_dir: str, algorithm: str, seed: int) -> str:
@@ -109,40 +108,43 @@ def write_oracle(space, gttc: list[float], out_dir: str) -> str:
     return path
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str) -> dict[RunKey, RunResult]:
-    """Run every (algorithm, seed) pair plus the ground-truth oracle, write the
-    full CSV bundle into out_dir and return the runs."""
+def run_experiment(config: ExperimentConfig,
+                   out_dir: str) -> dict[RunKey, EvaluationFailure | None]:
+    """Run the ground-truth oracle and every (algorithm, seed) pair, write the
+    full CSV bundle into out_dir, each log as its run ends, and return each
+    run's failure or None. Of a run, only its class sets, bank and failure are kept."""
     gttc = brute_force_oracle(
         config.space, config.sim, config.ego, config.oracle_seed, config.workers
     )
     write_oracle(config.space, gttc, out_dir)
     oracle_sets = oracle_classified_sets(gttc)
 
-    runs = {}
-    for algorithm in config.algorithms:
-        for seed in config.seeds:
-            runs[algorithm, seed] = run_search(config, algorithm, seed)
-            write_log(runs[algorithm, seed], out_dir, algorithm, seed)
+    sets, banks, failures = {}, {}, {}
+    for key in itertools.product(config.algorithms, config.seeds):
+        run = run_search(config, *key)
+        write_log(run, out_dir, *key)
+        sets[key], banks[key], failures[key] = run.classified_sets(), run.bank, run.failure
+        del run  # so that no campaign is held while the next one runs
 
-    sets = {k: run.classified_sets() for k, run in runs.items()}
     # A run that failed on its first evaluation tested nothing, so has no shares.
-    shares = {k: metrics.proportion(sets[k]) for k, run in runs.items() if run.rows}
-    tables = {"summary.csv": _summary_lines(config, runs, sets, shares, oracle_sets),
-              "operators.csv": _operator_lines(runs),
+    shares = {k: metrics.proportion(s) for k, s in sets.items() if any(s.values())}
+    tables = {"summary.csv": _summary_lines(config, sets, shares, oracle_sets),
+              "operators.csv": _operator_lines(banks),
               "distribution.csv": _distribution_lines(config, shares)}
     for name, lines in tables.items():
         atomic_write(os.path.join(out_dir, name), lines)
-    return runs
+    return failures
 
 
-def _summary_lines(config, runs, sets, shares, oracle_sets) -> list[str]:
-    """Per run and class: share, coverage of the seed's union and of the oracle."""
+def _summary_lines(config, sets, shares, oracle_sets) -> list[str]:
+    """Per run and class: share, coverage of the seed's union and of the oracle.
+    Each evaluated scenario is in exactly one of its run's class sets."""
     lines = [SUMMARY_HEADER]
     for seed in config.seeds:
         by_algo = {a: sets[a, seed] for a in config.algorithms}
         for algorithm in config.algorithms:
             share = shares.get((algorithm, seed), {})
-            n = runs[algorithm, seed].n_evaluations
+            n = sum(len(s) for s in by_algo[algorithm].values())
             for cls in ScenarioClass:
                 cov_u = metrics.coverage(by_algo, cls, algorithm)
                 cov_o = metrics.coverage_vs_oracle(by_algo[algorithm], oracle_sets, cls)
@@ -151,12 +153,12 @@ def _summary_lines(config, runs, sets, shares, oracle_sets) -> list[str]:
     return lines
 
 
-def _operator_lines(runs) -> list[str]:
+def _operator_lines(banks) -> list[str]:
     """Final weight, score and use count of every operator of each adaptive run."""
     lines = [OPERATORS_HEADER]
-    for (algorithm, seed), run in runs.items():
-        for kind in ("destroy", "repair") if run.bank else ():
-            columns = zip(*(getattr(run.bank, f"{kind}_{column}")
+    for (algorithm, seed), bank in banks.items():
+        for kind in ("destroy", "repair") if bank else ():
+            columns = zip(*(getattr(bank, f"{kind}_{column}")
                             for column in ("weights", "scores", "uses")))
             for op, (weight, score, uses) in enumerate(columns, start=1):
                 lines.append(f"{algorithm},{seed},{kind},{op},"

@@ -10,7 +10,7 @@ import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-from .engine import EvaluationFailure
+from .engine import checked
 from .metrics import ClassifiedSets, classified_sets
 from .risk import classify
 from .sim import EgoControllerConfig, SimConfig, evaluate
@@ -26,23 +26,9 @@ def resolve_workers(workers: int) -> int:
     return workers or max(1, os.cpu_count() or 1)
 
 
-def _evaluate_range(
-    space: ScenarioSpace,
-    sim_config: SimConfig,
-    ego_config: EgoControllerConfig,
-    run_seed: int,
-    start: int,
-    stop: int,
-) -> list[float]:
-    gttc = []
-    for i in range(start, stop):
-        try:
-            scenario = space.index_to_scenario(i)
-            gttc.append(evaluate(scenario, sim_config, ego_config, run_seed).gttc_min)
-            classify(gttc[-1])  # a NaN or negative value fails as a raise does
-        except Exception as exc:  # name the scenario, as a failed search run does
-            raise EvaluationFailure(i, type(exc).__name__, str(exc)) from exc
-    return gttc
+def _evaluate_range(space: ScenarioSpace, evaluator, start: int, stop: int) -> list[float]:
+    return [checked(evaluator, space.index_to_scenario(i)).gttc_min
+            for i in range(start, stop)]
 
 
 def brute_force_oracle(
@@ -55,7 +41,11 @@ def brute_force_oracle(
     """GTTC_min of every scenario, by flat scenario index. A failure names the
     smallest failing index: each chunk, and the chunk map, stop at the first."""
     n = space.cardinality
-    task = functools.partial(_evaluate_range, space, sim_config, ego_config, run_seed)
+    # this module's evaluate, looked up on each call, bound by keyword as
+    # experiment.make_evaluator binds it for a search
+    evaluator = functools.partial(evaluate, sim_config=sim_config,
+                                  ego_config=ego_config, run_seed=run_seed)
+    task = functools.partial(_evaluate_range, space, evaluator)
     starts = range(0, n, _CHUNK)
     stops = [*starts[1:], n]
     # at most one worker per chunk, and a single chunk or worker runs in-process

@@ -204,7 +204,7 @@ class TestRunAlvnsSa:
             assert 1 <= r.destroy_op <= 8
             assert r.repair_op in (1, 2)
         # the log numbers its rows by position, from 0
-        assert [line.split(",")[0] for line in log_lines(res)[1:]] == \
+        assert [line.split(",")[0] for line in list(log_lines(res))[1:]] == \
             [str(i) for i in range(15)]
 
     def test_evaluator_failure_flags_invalid(self):

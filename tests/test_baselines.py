@@ -127,8 +127,8 @@ class TestGA:
         # campaign in the same process redirects as the first did, which a
         # cache kept by the module or by functools.lru_cache would break
         config = dataclasses.replace(load_config(DEFAULT_CFG), budget=1000)
-        first = log_lines(run_search(config, "ga", 101))
-        assert log_lines(run_search(config, "ga", 101)) == first
+        first = list(log_lines(run_search(config, "ga", 101)))
+        assert list(log_lines(run_search(config, "ga", 101))) == first
         assert Archive(config.space)._nearest == {}
 
     def test_roulette_transform_frequencies(self):

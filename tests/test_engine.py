@@ -15,7 +15,9 @@ import scenariosearch
 from scenariosearch.alvns import SearchConfig, run_alvns_sa
 from scenariosearch.baselines import GAConfig, run_alns_sa, run_ga, run_random
 from scenariosearch.config import load_config
-from scenariosearch.engine import Archive, BudgetedEvaluator, EvaluationFailure, InvariantError
+from scenariosearch.engine import (
+    Archive, BudgetedEvaluator, EvaluationFailure, InvariantError, checked,
+)
 from scenariosearch.experiment import make_evaluator
 from scenariosearch.rng import make_generator
 from scenariosearch.sim import EvaluationResult
@@ -104,6 +106,32 @@ def test_evaluate_raises_its_recorded_failure_from_the_evaluator_error():
     assert isinstance(info.value.__cause__, ValueError)
     assert drv.failure == EvaluationFailure(3, "ValueError", "bad input")
     assert 3 in drv.archive and drv.rows == []
+
+
+def test_checked_names_the_scenario_of_a_raise():
+    error = FloatingPointError("state diverged")
+
+    def broken(scenario):
+        raise error
+
+    with pytest.raises(EvaluationFailure) as info:
+        checked(broken, TOY.index_to_scenario(5))
+    assert info.value == EvaluationFailure(5, "FloatingPointError", "state diverged")
+    assert info.value.__cause__ is error
+
+
+@pytest.mark.parametrize("gttc_min", [math.nan, -1.0])
+def test_checked_rejects_what_classify_rejects(gttc_min):
+    with pytest.raises(EvaluationFailure) as info:
+        checked(lambda scenario: EvaluationResult(gttc_min, 1), TOY.index_to_scenario(7))
+    assert info.value == EvaluationFailure(
+        7, "ValueError", f"GTTC_min must be >= 0, got {gttc_min}")
+    assert type(info.value.__cause__) is ValueError
+
+
+def test_checked_returns_the_evaluators_result():
+    result = EvaluationResult(0.0, 1)
+    assert checked(lambda scenario: result, TOY.index_to_scenario(0)) is result
 
 
 def test_diverged_state_recorded_as_failure():

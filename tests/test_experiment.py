@@ -2,19 +2,25 @@
 given into a temporary file and renames it onto the target, writing the
 bytes that joining the lines would give, and a failure partway leaves
 neither the temporary nor a changed target. `write_oracle` streams the
-grid's rows, so its memory does not grow with the grid."""
+grid's rows, so its memory does not grow with the grid, and `run_experiment`
+keeps no campaign once its log is written."""
 
+import gc
 import os
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenariosearch import experiment
 from scenariosearch.config import load_config
 from scenariosearch.experiment import atomic_write, write_oracle
 
-DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+DEFAULT_CFG = os.path.join(CONFIGS, "default.cfg")
+TOY_CFG = os.path.join(CONFIGS, "toy.cfg")
 
 
 def raising_lines(exc: BaseException):
@@ -72,3 +78,27 @@ def test_write_oracle_holds_no_rows(tmp_path):
     assert peak < 1 << 20
     with open(path, newline="") as fh:
         assert sum(1 for _ in fh) == space.cardinality + 1
+
+
+def test_run_experiment_holds_no_campaigns(tmp_path, monkeypatch):
+    """The tables need only each run's class sets, operator bank and failure,
+    so when a run starts no earlier RunResult is still alive. A bundle that
+    held every campaign would show 0, 1, ..., 7 here."""
+    run_search = experiment.run_search
+    results, alive = [], []
+
+    def spy(config, algorithm, seed):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in results))
+        result = run_search(config, algorithm, seed)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(experiment, "run_search", spy)
+    config = load_config(TOY_CFG)
+    failures = experiment.run_experiment(config, str(tmp_path))
+    keys = [(a, s) for a in config.algorithms for s in config.seeds]
+    assert failures == dict.fromkeys(keys)
+    assert list(failures) == keys
+    assert len(keys) == 8
+    assert alive == [0] * 8

@@ -285,7 +285,7 @@ def recording_pool(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(oracle, "evaluate", lambda *args: EvaluationResult(1.0, 1))
+    monkeypatch.setattr(oracle, "evaluate", lambda *args, **kwargs: EvaluationResult(1.0, 1))
     return sizes
 
 
